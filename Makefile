@@ -24,18 +24,20 @@ race:
 	$(GO) test -race -short ./...
 
 # Race-enabled full suite for the packages that run on the worker pool
-# (batch runner, posterior propagation, experiment suite) plus the trace
-# collector they all report into, and the serving stack (coalescer,
-# sharded caches, limiter, drain) whose whole value is concurrency —
+# (batch runner, shared analyzer, posterior propagation, experiment
+# suite) plus the trace collector they all report into, and the serving
+# stack (coalescer, sharded caches, limiter, drain) whose whole value is
+# concurrency —
 # exercises the parallel paths the short suite skips.
 # (-timeout raised: the Monte-Carlo suites exceed go test's default 10m
 # under the race detector on small machines.)
 race-parallel:
-	$(GO) test -race -timeout 45m ./internal/robust ./internal/uncertainty ./internal/experiments ./internal/obs ./internal/serve
+	$(GO) test -race -timeout 45m ./internal/robust ./internal/core ./internal/uncertainty ./internal/experiments ./internal/obs ./internal/serve
 
 # End-to-end daemon smoke: boot gsuserve race-instrumented, replay a
 # deterministic load script, force a saturation burst (429 + Retry-After,
-# zero 5xx), and SIGTERM-drain cleanly. See docs/SERVING.md.
+# zero 5xx), SIGTERM-drain cleanly, and drain a daemon signalled right
+# after its first /readyz 200. See docs/SERVING.md.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
@@ -73,13 +75,13 @@ bench:
 
 # Curve-engine vs per-point solver-budget comparison (docs/PERFORMANCE.md).
 # -benchtime=1x keeps it a smoke test: one sweep each, with the
-# solves/sweep metric surfaced through robust.Metrics / ctmc.SolveOps.
+# solves/sweep metric read off the run's obs scope (ctmc.solve_passes).
 # The >=3x budget itself is asserted by TestCurveEngineSolveBudget.
 bench-curve:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkCurve' -benchtime=1x -benchmem
 
-# Closed-form parametric evaluator vs the numeric engine on a
-# cache-defeating grid (docs/PARAMETRIC.md). The >=100x headroom itself
+# Closed-form parametric evaluator vs the numeric engine over a
+# 513-point grid (docs/PARAMETRIC.md). The >=100x headroom itself
 # is not asserted here — this surfaces the ns/op pair for the CI artifact.
 bench-parametric:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkEvaluate(Parametric|Numeric)$$' -benchmem

@@ -395,9 +395,8 @@ func sweepWith(ctx context.Context, a *core.Analyzer, p mdcd.Params, cfg sweepCo
 	grid := core.SweepGrid(p.Theta, cfg.points)
 	if cfg.manifest != nil {
 		// Enrich the run manifest before the sweep so even a failed run's
-		// trace records what was attempted; cache stats are read at exit.
+		// trace records what was attempted.
 		cfg.manifest.GridPoints = len(grid)
-		defer func() { cfg.manifest.Caches = a.CacheStats() }()
 	}
 	pr, err := a.CurvePartialWorkers(ctx, grid, cfg.workers)
 	if pr != nil && pr.Report != nil {

@@ -58,11 +58,6 @@ func TestSweepTraceManifest(t *testing.T) {
 	if m.Counters[obs.CtrSolvePasses] != 98 {
 		t.Errorf("counters[%s] = %d, want 98", obs.CtrSolvePasses, m.Counters[obs.CtrSolvePasses])
 	}
-	for _, model := range []string{"RMGd", "RMNd(mu_new)", "RMNd(mu_old)"} {
-		if _, ok := m.Caches[model]; !ok {
-			t.Errorf("manifest caches missing %q: %+v", model, m.Caches)
-		}
-	}
 
 	layers := map[string]bool{}
 	for _, s := range doc.Spans {

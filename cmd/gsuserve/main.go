@@ -161,17 +161,18 @@ func run(ctx context.Context, args []string) int {
 		TraceRing:       *traceRing,
 		Logger:          accessLog,
 	})
+	// Serve until the process is told to stop (SIGTERM/SIGINT or the
+	// parent context), then drain: stop accepting, finish in-flight work.
+	// The handler goes in before Start, so a signal that arrives as soon
+	// as /readyz answers still drains instead of killing the process.
+	sigCtx, stop := signal.NotifyContext(ctx, syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	bound, err := s.Start(*addr)
 	if err != nil {
 		logger.Error("listen failed", "addr", *addr, "err", err.Error())
 		return 1
 	}
 	announce(bound)
-
-	// Serve until the process is told to stop (SIGTERM/SIGINT or the
-	// parent context), then drain: stop accepting, finish in-flight work.
-	sigCtx, stop := signal.NotifyContext(ctx, syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	<-sigCtx.Done()
 	logger.Info("draining", "timeout", drainTimeout.String())
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)

@@ -79,19 +79,18 @@ func gridBench(name string, mode core.ParametricMode) Benchmark {
 	}
 }
 
-// evaluateBench measures the point-wise Evaluate path (memo caches cold,
-// 40 distinct φ) — the code the curve engine falls back to and the
-// optimizer leans on.
+// evaluateBench measures the point-wise Evaluate path over 40 distinct φ
+// — the code the curve engine falls back to and the optimizer leans on.
 func evaluateBench(name string, mode core.ParametricMode) Benchmark {
 	rules := map[string]Rule{
 		"evaluate.points":          {Op: "eq", Value: 40},
 		obs.CtrParametricFallbacks: {Op: "eq", Value: 0},
 	}
 	if mode == core.ParametricOff {
-		// Three full-horizon solves per fresh point (the RMGd transient,
-		// the two RMNd accumulations), all memo misses on a cold cache.
-		rules[obs.CtrSolvePasses] = Rule{Op: "eq", Value: 120}
-		rules[obs.CtrCacheMisses] = Rule{Op: "eq", Value: 120}
+		// Three full-horizon solves per point (the RMGd
+		// transient+accumulated pass, the two RMNd transients), less the
+		// zero-length RMGd solve at φ = 0.
+		rules[obs.CtrSolvePasses] = Rule{Op: "eq", Value: 119}
 		rules[obs.CtrParametricHits] = Rule{Op: "eq", Value: 0}
 	} else {
 		rules[obs.CtrSolvePasses] = Rule{Op: "eq", Value: 0}
@@ -114,8 +113,6 @@ func evaluateBench(name string, mode core.ParametricMode) Benchmark {
 			return map[string]int64{
 				"evaluate.points":          40,
 				obs.CtrSolvePasses:         c[obs.CtrSolvePasses],
-				obs.CtrCacheHits:           c[obs.CtrCacheHits],
-				obs.CtrCacheMisses:         c[obs.CtrCacheMisses],
 				obs.CtrParametricHits:      c[obs.CtrParametricHits],
 				obs.CtrParametricFallbacks: c[obs.CtrParametricFallbacks],
 			}, nil

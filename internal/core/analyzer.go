@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"guardedop/internal/ctmc"
 	"guardedop/internal/mdcd"
 	"guardedop/internal/modelcheck"
 	"guardedop/internal/obs"
@@ -21,9 +20,10 @@ import (
 // solved at construction time.
 //
 // Grid evaluation (Curve and friends) runs on the shared-propagation curve
-// engine (engine.go); single-point evaluation memoizes its full-horizon
-// solves in bounded per-analyzer caches so OptimizePhi's refinement stage
-// and repeated Evaluate calls at overlapping φ hit cache.
+// engine (engine.go); single-point evaluation solves each φ directly with
+// three full-horizon passes (RMGd, and each RMNd separately), keeping it an
+// independent reference for the engine. The Analyzer is immutable after
+// construction, so every method is safe for concurrent use.
 type Analyzer struct {
 	params mdcd.Params
 
@@ -38,11 +38,6 @@ type Analyzer struct {
 	// is the A of the Eq. 5–21 assembly (the paper's literal 2).
 	rhos []float64
 
-	// Bounded memo caches keyed by the solve horizon (see ctmc.SolveCache).
-	gdSolves    *ctmc.SolveCache // RMGd π(φ) and L(φ), one combined pass
-	ndNewSolves *ctmc.SolveCache // RMNd(µ_new) π(θ−φ)
-	ndOldSolves *ctmc.SolveCache // RMNd(µ_old) π(θ−φ)
-
 	// par is the closed-form parametric system, nil when the mode is off
 	// or an Auto-mode build declined (out-of-domain parameters, failed
 	// probe validation). Queries that reach a non-nil par and still fail
@@ -54,12 +49,6 @@ type Analyzer struct {
 
 	pNoFailNewTheta float64 // P(X″_θ ∈ A″₁), cached: it is φ-independent
 }
-
-// solveCacheCapacity bounds each per-analyzer memo cache. An optimization
-// run touches a coarse grid plus a few dozen golden-section refinement
-// points, so this retains every horizon such a workload revisits while
-// keeping the worst case at a few hundred state-space-sized vectors.
-const solveCacheCapacity = 256
 
 // ParametricMode selects how the analyzer uses the closed-form parametric
 // layer (internal/parametric) for point evaluation.
@@ -211,25 +200,12 @@ func NewScenarioAnalyzer(sm ScenarioModels, o Options) (*Analyzer, error) {
 }
 
 // finishAnalyzer wires the solver machinery shared by the handwritten and
-// templated construction paths: the stacked RMNd pair, the per-model
-// solve caches, the φ-independent P(X″_θ ∈ A″₁), and the optional
-// closed-form parametric layer.
+// templated construction paths: the stacked RMNd pair, the φ-independent
+// P(X″_θ ∈ A″₁), and the optional closed-form parametric layer.
 func finishAnalyzer(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd, rhos []float64, mode ParametricMode, requirePar bool) (*Analyzer, error) {
 	ndPair, err := mdcd.NewRMNdPair(ndNew, ndOld)
 	if err != nil {
 		return nil, fmt.Errorf("core: stacking RMNd pair: %w", err)
-	}
-	gdSolves, err := ctmc.NewSolveCache(gd.Space.Chain, gd.Space.Initial, solveCacheCapacity, true)
-	if err != nil {
-		return nil, fmt.Errorf("core: RMGd solve cache: %w", err)
-	}
-	ndNewSolves, err := ctmc.NewSolveCache(ndNew.Space.Chain, ndNew.Space.Initial, solveCacheCapacity, false)
-	if err != nil {
-		return nil, fmt.Errorf("core: RMNd(mu_new) solve cache: %w", err)
-	}
-	ndOldSolves, err := ctmc.NewSolveCache(ndOld.Space.Chain, ndOld.Space.Initial, solveCacheCapacity, false)
-	if err != nil {
-		return nil, fmt.Errorf("core: RMNd(mu_old) solve cache: %w", err)
 	}
 	pTheta, err := ndNew.NoFailureProbability(p.Theta)
 	if err != nil {
@@ -259,9 +235,6 @@ func finishAnalyzer(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd, rhos 
 		ndNew:           ndNew,
 		ndOld:           ndOld,
 		ndPair:          ndPair,
-		gdSolves:        gdSolves,
-		ndNewSolves:     ndNewSolves,
-		ndOldSolves:     ndOldSolves,
 		par:             par,
 		parMode:         mode,
 		pNoFailNewTheta: pTheta,
@@ -288,17 +261,6 @@ func verifySpace(name string, sp *statespace.Space) error {
 
 // Params returns the analyzer's parameter set.
 func (a *Analyzer) Params() mdcd.Params { return a.params }
-
-// CacheStats returns a snapshot of the per-analyzer solve-cache statistics,
-// keyed by the model the cache serves. Run manifests embed it so a trace
-// records how much of the point-wise workload was served from memo.
-func (a *Analyzer) CacheStats() map[string]obs.CacheStats {
-	return map[string]obs.CacheStats{
-		"RMGd":         a.gdSolves.Snapshot(),
-		"RMNd(mu_new)": a.ndNewSolves.Snapshot(),
-		"RMNd(mu_old)": a.ndOldSolves.Snapshot(),
-	}
-}
 
 // Rho returns the solved forward-progress fractions of the first two
 // processes (ρ₁, ρ₂) — the complete set for the paper's two-process
@@ -342,25 +304,27 @@ func (a *Analyzer) Evaluate(phi float64) (Result, error) {
 }
 
 // EvaluateWithPolicy computes Y(φ) under an explicit γ policy (used by the
-// ablation experiments; Evaluate uses the paper's policy). The full-horizon
-// solves go through the analyzer's bounded memo caches, so re-evaluating a
-// previously visited φ costs only dot products.
+// ablation experiments; Evaluate uses the paper's policy). Each call solves
+// its point afresh: three full-horizon solver passes on the numeric path.
 func (a *Analyzer) EvaluateWithPolicy(phi float64, policy GammaPolicy) (Result, error) {
 	return a.evaluateCtx(context.Background(), phi, policy)
 }
 
-// EvaluateContext is Evaluate under a caller-carried context: spans,
-// counters and cache statistics report to the context's tracer/scope, so
-// per-request and per-benchmark observers see the evaluation's work
-// attributed to them rather than to the process at large.
+// EvaluateContext is Evaluate under a caller-carried context: spans and
+// counters report to the context's tracer/scope, so per-request and
+// per-benchmark observers see the evaluation's work attributed to them
+// rather than to the process at large.
 func (a *Analyzer) EvaluateContext(ctx context.Context, phi float64) (Result, error) {
 	return a.evaluateCtx(ctx, phi, GammaPaperTauBar)
 }
 
-// evaluateCtx is the cached point-wise evaluation path under a
-// caller-carried context: one "core.evaluate" span covers the call, and
-// the memo-cache hits/misses and any fill's solver passes report to the
-// context's scope/tracer.
+// evaluateCtx is the point-wise evaluation path under a caller-carried
+// context: one "core.evaluate" span covers the call, and its solver passes
+// report to the context's scope/tracer. The numeric path spends three
+// passes — one combined transient+accumulated pass over RMGd at φ, and one
+// transient pass over each RMNd at θ−φ. It deliberately solves the two
+// RMNd models separately rather than through the stacked pair the curve
+// engine uses, so it stays an independent reference for that engine.
 func (a *Analyzer) evaluateCtx(ctx context.Context, phi float64, policy GammaPolicy) (Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "core.evaluate")
 	defer sp.End()
@@ -388,32 +352,20 @@ func (a *Analyzer) evaluateCtx(ctx context.Context, phi float64, policy GammaPol
 		obs.Count(ctx, obs.CtrParametricFallbacks, 1)
 		obs.AddEvent(ctx, "parametric_fallback")
 	}
-	pi, acc, err := a.gdSolves.TransientAccumulatedContext(ctx, phi)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: RMGd measures at phi=%g: %w", phi, err)
-	}
-	gdm, err := a.gd.MeasuresFromSolution(phi, pi, acc)
+	gdms, err := a.gd.MeasuresSeriesContext(ctx, []float64{phi})
 	if err != nil {
 		return Result{}, fmt.Errorf("core: RMGd measures at phi=%g: %w", phi, err)
 	}
 	rem := p.Theta - phi
-	piNew, err := a.ndNewSolves.TransientContext(ctx, rem)
+	pNoFailNewRem, err := a.ndNew.NoFailureProbabilityContext(ctx, rem)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: P(X''_(theta-phi)): %w", err)
 	}
-	pNoFailNewRem, err := a.ndNew.NoFailureFromSolution(piNew)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: P(X''_(theta-phi)): %w", err)
-	}
-	piOld, err := a.ndOldSolves.TransientContext(ctx, rem)
+	pNoFailOldRem, err := a.ndOld.NoFailureProbabilityContext(ctx, rem)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: recovered-pair survival: %w", err)
 	}
-	pNoFailOldRem, err := a.ndOld.NoFailureFromSolution(piOld)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: recovered-pair survival: %w", err)
-	}
-	return a.assemble(phi, policy, gdm, pNoFailNewRem, pNoFailOldRem)
+	return a.assemble(phi, policy, gdms[0], pNoFailNewRem, pNoFailOldRem)
 }
 
 // parametricPoint evaluates one φ's constituent measures through the
@@ -432,33 +384,9 @@ func (a *Analyzer) parametricPoint(phi float64) (gdm mdcd.GdMeasures, pNewRem, p
 	return
 }
 
-// evaluatePointwise is the uncached per-point reference path: one full
-// transient or accumulated solve per constituent measure, exactly as the
-// analyzer evaluated a point before the curve engine existed. It anchors
-// the BenchmarkCurve* comparison and the engine equivalence tests.
-func (a *Analyzer) evaluatePointwise(phi float64, policy GammaPolicy) (Result, error) {
-	p := a.params
-	if math.IsNaN(phi) || phi < 0 || phi > p.Theta {
-		return Result{}, fmt.Errorf("core: phi = %g out of [0, theta=%g]", phi, p.Theta)
-	}
-	gdm, err := a.gd.Measures(phi)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: RMGd measures at phi=%g: %w", phi, err)
-	}
-	pNoFailNewRem, err := a.ndNew.NoFailureProbability(p.Theta - phi)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: P(X''_(theta-phi)): %w", err)
-	}
-	pNoFailOldRem, err := a.ndOld.NoFailureProbability(p.Theta - phi)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: recovered-pair survival: %w", err)
-	}
-	return a.assemble(phi, policy, gdm, pNoFailNewRem, pNoFailOldRem)
-}
-
 // assemble folds solved constituent measures into the performability index:
-// the Eq. 5–21 translation layer, shared by the cached point-wise path and
-// the curve engine.
+// the Eq. 5–21 translation layer, shared by the point-wise path and the
+// curve engine.
 func (a *Analyzer) assemble(phi float64, policy GammaPolicy, gdm mdcd.GdMeasures, pNoFailNewRem, pNoFailOldRem float64) (Result, error) {
 	p := a.params
 	// A, the number of active processes, generalises the literal 2 of the
@@ -716,8 +644,9 @@ func SweepGrid(theta float64, n int) []float64 {
 		n = 1
 	}
 	out := make([]float64, 0, n+1)
-	for i := 0; i <= n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, theta*float64(i)/float64(n))
 	}
-	return out
+	// θ·n/n can round one ulp above θ, which the analyzer would reject.
+	return append(out, theta)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -268,6 +269,25 @@ func TestSweepGrid(t *testing.T) {
 	}
 	if g := SweepGrid(10, 0); len(g) != 2 {
 		t.Errorf("SweepGrid with n<1 = %v, want 2 points", g)
+	}
+}
+
+// For a non-round θ, θ·n/n rounds one ulp above θ; the grid must still end
+// exactly at θ so the analyzer accepts its last point.
+func TestSweepGridEndsExactlyAtTheta(t *testing.T) {
+	const theta = 7151.010640152745
+	grid := SweepGrid(theta, 19)
+	if last := grid[len(grid)-1]; last != theta {
+		t.Fatalf("last grid point = %v, want exactly theta = %v", last, theta)
+	}
+	a := newAnalyzer(t, func(p *mdcd.Params) { p.Theta = theta })
+	pr, err := a.CurvePartial(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Results) != 20 || pr.Report.Failed() != 0 {
+		t.Fatalf("CurvePartial returned %d points with %d failures, want 20 and 0: %v",
+			len(pr.Results), pr.Report.Failed(), pr.Report.Err())
 	}
 }
 

@@ -2,12 +2,38 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
-	"guardedop/internal/ctmc"
 	"guardedop/internal/mdcd"
+	"guardedop/internal/obs"
 )
+
+// evaluatePointwise is the engine-equivalence oracle: one full transient or
+// accumulated solve per constituent measure (eight solver passes per φ),
+// sharing no propagation with the curve engine or the point path. It
+// anchors the BenchmarkCurve* comparison and the engine equivalence tests;
+// solver passes report to ctx's scope.
+func (a *Analyzer) evaluatePointwise(ctx context.Context, phi float64, policy GammaPolicy) (Result, error) {
+	p := a.params
+	if math.IsNaN(phi) || phi < 0 || phi > p.Theta {
+		return Result{}, fmt.Errorf("core: phi = %g out of [0, theta=%g]", phi, p.Theta)
+	}
+	gdm, err := a.gd.MeasuresContext(ctx, phi)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: RMGd measures at phi=%g: %w", phi, err)
+	}
+	pNoFailNewRem, err := a.ndNew.NoFailureProbabilityContext(ctx, p.Theta-phi)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: P(X''_(theta-phi)): %w", err)
+	}
+	pNoFailOldRem, err := a.ndOld.NoFailureProbabilityContext(ctx, p.Theta-phi)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: recovered-pair survival: %w", err)
+	}
+	return a.assemble(phi, policy, gdm, pNoFailNewRem, pNoFailOldRem)
+}
 
 // relCloseY asserts two curve results agree within relTol relative on the
 // index and every constituent quantity. Probabilities and the index compare
@@ -58,7 +84,7 @@ func TestCurveEngineMatchesPointwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, phi := range phis {
-		want, err := a.evaluatePointwise(phi, GammaPaperTauBar)
+		want, err := a.evaluatePointwise(context.Background(), phi, GammaPaperTauBar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +105,7 @@ func TestCurveEngineMultiSegmentGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1, curveChunkSize - 1, curveChunkSize, 2*curveChunkSize + 7, len(grid) - 1} {
-		want, err := a.evaluatePointwise(grid[i], GammaPaperTauBar)
+		want, err := a.evaluatePointwise(context.Background(), grid[i], GammaPaperTauBar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,50 +153,30 @@ func TestCurveEngineSolveBudget(t *testing.T) {
 		t.Fatal("engine run recorded no solver passes in Metrics.Solves")
 	}
 
-	before := ctmc.SolveOps()
+	ctx, scope := obs.WithScope(context.Background())
 	for _, phi := range grid {
-		if _, err := a.evaluatePointwise(phi, GammaPaperTauBar); err != nil {
+		if _, err := a.evaluatePointwise(ctx, phi, GammaPaperTauBar); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pointOps := int64(ctmc.SolveOps() - before)
+	pointOps := scope.Counter(obs.CtrSolvePasses)
 
 	if pointOps < 3*engineOps {
 		t.Errorf("engine spent %d solver passes, point-wise %d: want >= 3x fewer", engineOps, pointOps)
 	}
 }
 
-// Repeated single-point evaluation must hit the per-analyzer memo caches:
-// the second pass over the same φ values costs zero new solver passes.
-func TestEvaluateMemoizesSolves(t *testing.T) {
-	a := newAnalyzer(t, nil)
-	phis := []float64{1000, 4000, 7000}
-	for _, phi := range phis {
-		if _, err := a.Evaluate(phi); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := ctmc.SolveOps()
-	for _, phi := range phis {
-		if _, err := a.Evaluate(phi); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if delta := ctmc.SolveOps() - before; delta != 0 {
-		t.Errorf("re-evaluating cached durations spent %d solver passes, want 0", delta)
-	}
-}
-
-// Cached and uncached evaluation must agree tightly — the cache stores
-// full-horizon solves, so a hit is the same value the miss produced.
-func TestEvaluateCachedMatchesPointwise(t *testing.T) {
+// Evaluate's three-pass point path must agree tightly with the eight-pass
+// oracle: both solve every horizon from t=0, one pass per model or per
+// measure.
+func TestEvaluateMatchesPointwise(t *testing.T) {
 	a := newAnalyzer(t, nil)
 	for _, phi := range []float64{0, 1, 2500, 7000, 10000} {
 		got, err := a.Evaluate(phi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := a.evaluatePointwise(phi, GammaPaperTauBar)
+		want, err := a.evaluatePointwise(context.Background(), phi, GammaPaperTauBar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,17 +237,17 @@ func BenchmarkCurvePerPoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, phi := range grid {
-			if _, err := a.evaluatePointwise(phi, GammaPaperTauBar); err != nil {
+			if _, err := a.evaluatePointwise(context.Background(), phi, GammaPaperTauBar); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.StopTimer()
-	before := ctmc.SolveOps()
+	ctx, scope := obs.WithScope(context.Background())
 	for _, phi := range grid {
-		if _, err := a.evaluatePointwise(phi, GammaPaperTauBar); err != nil {
+		if _, err := a.evaluatePointwise(ctx, phi, GammaPaperTauBar); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(ctmc.SolveOps()-before), "solves/sweep")
+	b.ReportMetric(float64(scope.Counter(obs.CtrSolvePasses)), "solves/sweep")
 }

@@ -66,8 +66,8 @@ func (a *Analyzer) OptimizePhiContext(ctx context.Context, opts OptimizeOptions)
 	refineEvals := 0
 	defer func() { osp.SetInt("refine_evals", int64(refineEvals)) }()
 
-	// Refinement points go through the memo-cached point-wise path, so the
-	// overlapping φ the golden-section search revisits cost no new solves.
+	// Refinement points go through the point-wise path: three solver
+	// passes each on the numeric engine.
 	eval := func(phi float64) (Result, error) {
 		refineEvals++
 		return a.evaluateCtx(ctx, phi, opts.Policy)

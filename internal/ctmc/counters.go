@@ -2,36 +2,18 @@ package ctmc
 
 import (
 	"context"
-	"sync/atomic"
 
 	"guardedop/internal/obs"
 )
 
-// solveOps counts transient/accumulated solver passes process-wide: one
-// increment per uniformization vector iteration or dense matrix-exponential
-// evaluation, whether it produces π(t), L(t), or both at once. The counter
-// is the observable behind the curve-engine performance contract — a shared
+// countSolveOp records one transient/accumulated solver pass — one
+// uniformization vector iteration or dense matrix-exponential evaluation,
+// whether it produces π(t), L(t), or both at once — on whatever
+// obs.Scope and obs.Tracer the context carries. The count is the
+// observable behind the curve-engine performance contract: a shared
 // incremental pass over a φ-grid must register far fewer passes than
-// point-wise evaluation.
-//
-// The counter is monotone and global, retained as a fallback for callers
-// with no context to carry attribution. Concurrent solver work elsewhere
-// in the process inflates a delta between two readings, so scoped
-// measurements — the curve engine's per-run Metrics.Solves, budget
-// assertions in tests — go through obs.Count instead: every solver pass
-// also reports to the obs.Scope and obs.Tracer carried by its context,
-// which concurrent analyzers cannot pollute (see internal/obs).
-var solveOps atomic.Uint64
-
-// SolveOps returns the process-wide count of transient/accumulated solver
-// passes completed so far. Subtract two readings to measure a region —
-// valid only when nothing else solves concurrently; scoped measurements
-// use obs.WithScope.
-func SolveOps() uint64 { return solveOps.Load() }
-
-// countSolveOp records one solver pass: always on the global fallback
-// counter, and on whatever scope/tracer the context carries.
+// point-wise evaluation. Scopes are per region, so concurrent analyzers
+// cannot pollute each other's counts (see internal/obs).
 func countSolveOp(ctx context.Context) {
-	solveOps.Add(1)
 	obs.Count(ctx, obs.CtrSolvePasses, 1)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"guardedop/internal/obs"
 	"guardedop/internal/robust"
 	"guardedop/internal/sparse"
 )
@@ -165,114 +166,28 @@ func TestSolveOpsSeriesVsPointwise(t *testing.T) {
 	pi0, _ := c.PointMass(0)
 	ts := []float64{1, 2.5, 4}
 
-	before := SolveOps()
-	if _, _, err := c.TransientAccumulatedSeries(pi0, ts); err != nil {
+	sctx, series := obs.WithScope(context.Background())
+	if _, _, err := c.TransientAccumulatedSeriesContext(sctx, pi0, ts); err != nil {
 		t.Fatal(err)
 	}
-	seriesOps := SolveOps() - before
+	seriesOps := series.Counter(obs.CtrSolvePasses)
 
-	before = SolveOps()
+	pctx, point := obs.WithScope(context.Background())
 	for _, tt := range ts {
-		if _, err := c.Transient(pi0, tt); err != nil {
+		if _, err := c.TransientContext(pctx, pi0, tt); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Accumulated(pi0, tt); err != nil {
+		if _, err := c.AccumulatedContext(pctx, pi0, tt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pointOps := SolveOps() - before
+	pointOps := point.Counter(obs.CtrSolvePasses)
 
-	if seriesOps != uint64(len(ts)) {
+	if seriesOps != int64(len(ts)) {
 		t.Errorf("series cost %d solver passes, want %d", seriesOps, len(ts))
 	}
-	if pointOps != uint64(2*len(ts)) {
+	if pointOps != int64(2*len(ts)) {
 		t.Errorf("point-wise cost %d solver passes, want %d", pointOps, 2*len(ts))
-	}
-}
-
-func TestSolveCacheHitsAreIdentical(t *testing.T) {
-	c := birthDeath(t, 6, 2.0, 3.0)
-	pi0, _ := c.PointMass(0)
-	cache, err := NewSolveCache(c, pi0, 8, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi1, acc1, err := cache.TransientAccumulated(3.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi2, acc2, err := cache.TransientAccumulated(3.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sparse.L1Dist(pi1, pi2) != 0 || sparse.L1Dist(acc1, acc2) != 0 {
-		t.Error("cache hit returned different values than the fill")
-	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
-	}
-	// Cached values must match the uncached solvers.
-	wantPi, err := c.Transient(pi0, 3.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAcc, err := c.Accumulated(pi0, 3.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := sparse.L1Dist(pi1, wantPi); d > 1e-12 {
-		t.Errorf("cached pi deviates by %g", d)
-	}
-	if d := sparse.L1Dist(acc1, wantAcc); d != 0 {
-		t.Errorf("cached acc deviates by %g", d)
-	}
-}
-
-func TestSolveCacheBoundedFIFO(t *testing.T) {
-	c := twoState(t, 1.5, 0.5)
-	pi0, _ := c.PointMass(0)
-	cache, err := NewSolveCache(c, pi0, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []float64{1, 2, 3} {
-		if _, err := cache.Transient(tt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d entries past capacity 2", cache.Len())
-	}
-	// t=1 was evicted first: re-requesting it is a miss, t=3 is still a hit.
-	if _, err := cache.Transient(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.Transient(1); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 4 {
-		t.Errorf("stats = (%d hits, %d misses), want (1, 4)", hits, misses)
-	}
-}
-
-func TestSolveCacheValidation(t *testing.T) {
-	c := twoState(t, 1, 1)
-	pi0, _ := c.PointMass(0)
-	if _, err := NewSolveCache(nil, pi0, 4, false); err == nil {
-		t.Error("nil chain accepted")
-	}
-	if _, err := NewSolveCache(c, []float64{2, 3}, 4, false); err == nil {
-		t.Error("non-distribution accepted")
-	}
-	cache, err := NewSolveCache(c, pi0, 0, false) // capacity raised to 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cache.TransientAccumulated(1); err == nil {
-		t.Error("accumulated view served by a transient-only cache")
-	}
-	if _, err := cache.Transient(-1); err == nil {
-		t.Error("negative horizon accepted")
 	}
 }
 

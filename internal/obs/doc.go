@@ -22,7 +22,7 @@
 // WithTracer and the Scope installed by WithScope (scopes nest — a count
 // reaches every enclosing scope). A layer that needs an exact per-run
 // total — core's curve engine accounting its solver-pass budget — opens a
-// Scope around the region of interest and reads the delta from it, so
-// concurrent analyzers never pollute each other the way the process-global
-// ctmc.SolveOps fallback can. See docs/OBSERVABILITY.md.
+// Scope around the region of interest and reads the total from it, so
+// concurrent analyzers never pollute each other's counts. There is no
+// process-global counter to fall back on. See docs/OBSERVABILITY.md.
 package obs

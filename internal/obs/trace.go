@@ -12,15 +12,6 @@ import (
 // Bump it on any change that could break a dashboard reading the file.
 const TraceSchemaVersion = 1
 
-// CacheStats is one solve cache's traffic summary, carried in the run
-// manifest (ctmc.SolveCache reports itself in this form).
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Len       int    `json:"len"`
-}
-
 // Manifest describes the run that produced a trace: what was solved,
 // with which parameters, at what parallelism, and what it cost. It is the
 // record a future perf PR compares against instead of re-running ad-hoc
@@ -45,8 +36,6 @@ type Manifest struct {
 	// SolverPasses is the run's CTMC solver-pass total (the curve engine's
 	// budget observable).
 	SolverPasses int64 `json:"solver_passes"`
-	// Caches summarises every per-analyzer solve cache, keyed by model.
-	Caches map[string]CacheStats `json:"caches,omitempty"`
 	// Counters carries every tracer counter of the run.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }

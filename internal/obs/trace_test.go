@@ -32,7 +32,7 @@ func TestWriteTraceManifestAutofill(t *testing.T) {
 	ctx := WithTracer(context.Background(), tr)
 	c, sp := StartSpan(ctx, "core.curve")
 	Count(c, CtrSolvePasses, 42)
-	Count(c, CtrCacheHits, 3)
+	Count(c, CtrFallbackPoints, 3)
 	sp.End()
 
 	var buf bytes.Buffer
@@ -41,7 +41,6 @@ func TestWriteTraceManifestAutofill(t *testing.T) {
 		Params:     map[string]float64{"theta": 10000},
 		Workers:    2,
 		GridPoints: 50,
-		Caches:     map[string]CacheStats{"RMGd": {Hits: 3, Misses: 4, Evictions: 1, Len: 4}},
 	}
 	if err := WriteTrace(&buf, tr, man); err != nil {
 		t.Fatal(err)
@@ -58,11 +57,8 @@ func TestWriteTraceManifestAutofill(t *testing.T) {
 	if m.SolverPasses != 42 {
 		t.Fatalf("solver_passes = %d, want auto-filled 42", m.SolverPasses)
 	}
-	if m.Counters[CtrCacheHits] != 3 {
-		t.Fatalf("counters = %+v, want cache hits 3", m.Counters)
-	}
-	if m.Caches["RMGd"].Misses != 4 {
-		t.Fatalf("caches = %+v", m.Caches)
+	if m.Counters[CtrFallbackPoints] != 3 {
+		t.Fatalf("counters = %+v, want fallback points 3", m.Counters)
 	}
 	if len(doc.Spans) != 1 || doc.Spans[0].Layer != "core" {
 		t.Fatalf("spans = %+v", doc.Spans)

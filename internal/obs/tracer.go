@@ -12,11 +12,12 @@ const (
 	// CtrSolvePasses counts CTMC transient/accumulated solver passes
 	// (uniformization sweeps, dense matrix exponentials).
 	CtrSolvePasses = "ctmc.solve_passes"
-	// CtrCacheHits / CtrCacheMisses / CtrCacheEvictions count SolveCache
-	// traffic.
-	CtrCacheHits      = "ctmc.cache.hits"
-	CtrCacheMisses    = "ctmc.cache.misses"
-	CtrCacheEvictions = "ctmc.cache.evictions"
+	// CtrCacheHits / CtrCacheMisses named the traffic of a per-analyzer
+	// solve memo the point path no longer has. The program no longer
+	// emits them; they stay declared so readers of older traces and BENCH
+	// reports compile against one vocabulary.
+	CtrCacheHits   = "ctmc.cache.hits"
+	CtrCacheMisses = "ctmc.cache.misses"
 	// CtrFallbackPoints counts curve-engine grid points that fell back to
 	// point-wise evaluation after their segment solve failed.
 	CtrFallbackPoints = "core.fallback_points"
@@ -62,8 +63,7 @@ const (
 	CtrServeErrors = "serve.errors"
 	// CtrServeCacheHits / CtrServeCacheMisses / CtrServeCacheEvictions /
 	// CtrServeCacheExpired count the process-wide sharded serving cache's
-	// traffic (analyzer reuse and whole-response reuse; distinct from the
-	// per-analyzer ctmc.cache.* solve memo).
+	// traffic (analyzer reuse and whole-response reuse).
 	CtrServeCacheHits      = "serve.cache.hits"
 	CtrServeCacheMisses    = "serve.cache.misses"
 	CtrServeCacheEvictions = "serve.cache.evictions"

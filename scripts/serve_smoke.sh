@@ -7,7 +7,10 @@
 #      transport error,
 #   4. force a saturation burst against a one-slot limiter and assert
 #      shedding works: at least one 429 (with Retry-After), zero 5xx,
-#   5. SIGTERM and assert a clean drain (exit 0, "drained cleanly").
+#   5. SIGTERM and assert a clean drain (exit 0, "drained" logged),
+#   6. boot a fresh daemon and SIGTERM it right after its first /readyz
+#      200: the signal handler is installed before the listener, so even
+#      that early signal must drain cleanly.
 #
 # Everything runs on loopback with dynamically assigned ports.
 set -euo pipefail
@@ -31,7 +34,7 @@ start_daemon() {
   DAEMON_PID=$!
   DAEMON_ADDR=""
   for _ in $(seq 1 100); do
-    DAEMON_ADDR=$(sed -n 's/.*listening on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$log" | head -1)
+    DAEMON_ADDR=$(sed -n 's/.*"msg":"listening","addr":"\(127\.0\.0\.1:[0-9]*\)".*/\1/p' "$log" | head -1)
     [ -n "$DAEMON_ADDR" ] && break
     sleep 0.1
   done
@@ -65,7 +68,7 @@ grep -q '^gsu_serve_requests_total' "$LOG/metrics.txt" \
 echo "== graceful drain (SIGTERM) =="
 kill -TERM "$MAIN_PID"
 wait "$MAIN_PID" || { echo "daemon exited nonzero on SIGTERM" >&2; cat "$LOG/serve.log" >&2; exit 1; }
-grep -q "drained cleanly" "$LOG/serve.log" \
+grep -q '"msg":"drained"' "$LOG/serve.log" \
   || { echo "daemon did not report a clean drain" >&2; cat "$LOG/serve.log" >&2; exit 1; }
 
 echo "== forced saturation burst (429 + Retry-After, zero 5xx) =="
@@ -110,8 +113,18 @@ echo "burst: $OK completed, $SHED shed"
 
 kill -TERM "$BURST_PID"
 wait "$BURST_PID" || { echo "burst daemon exited nonzero on SIGTERM" >&2; cat "$LOG/burst.log" >&2; exit 1; }
-grep -q "drained cleanly" "$LOG/burst.log" \
+grep -q '"msg":"drained"' "$LOG/burst.log" \
   || { echo "burst daemon did not drain cleanly" >&2; cat "$LOG/burst.log" >&2; exit 1; }
+
+echo "== SIGTERM right after the first /readyz 200 =="
+start_daemon "$LOG/early.log" -workers 1
+EARLY_ADDR=$DAEMON_ADDR
+EARLY_PID=$DAEMON_PID
+until curl -fsS "http://$EARLY_ADDR/readyz" >/dev/null 2>&1; do sleep 0.01; done
+kill -TERM "$EARLY_PID"
+wait "$EARLY_PID" || { echo "early-signalled daemon exited nonzero" >&2; cat "$LOG/early.log" >&2; exit 1; }
+grep -q '"msg":"drained"' "$LOG/early.log" \
+  || { echo "early-signalled daemon did not drain" >&2; cat "$LOG/early.log" >&2; exit 1; }
 
 if grep -q "DATA RACE" "$LOG"/*.log; then
   echo "race detector fired:" >&2
