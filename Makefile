@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-parallel lint fmt-check selfcheck modelcheck serve-smoke templates bench bench-curve bench-parametric bench-json bench-compare repro coverage clean
+.PHONY: all build vet test test-short race race-parallel lint fmt-check selfcheck modelcheck serve-smoke templates bench bench-curve bench-parametric bench-json bench-compare perfbench-test repro coverage clean
 
 all: build lint test
 
@@ -105,6 +105,12 @@ bench-compare:
 			echo "bench-compare: need two BENCH reports in bench/ (run make bench-json twice, or set OLD= NEW=)"; exit 1; fi; \
 		$(GO) run ./cmd/gsubench -compare "$$1" "$$2"; \
 	fi
+
+# Vet and test the nested perfbench module (the end-to-end benchmark
+# harness, perfbench/README.md). Root `go test ./...` never builds it,
+# yet it compiles against the core, obs and mdcd APIs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate every table/figure report to stdout.
 repro:

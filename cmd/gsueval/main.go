@@ -109,7 +109,7 @@ func run(args []string) (err error) {
 		timeout     = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		keepGoing   = fs.Bool("keep-going", false, "skip failed experiments or sweep points and report them at the end")
 		parallel    = fs.Int("parallel", 0, "worker-pool size for batch evaluation (0 = all cores, 1 = sequential); results are identical at every setting")
-		metricsVal  = fs.String("metrics", "", "dump run metrics to stderr after -all, -sweep or -modelcheck: \"text\", \"json\" or \"prom\"")
+		metricsVal  = fs.String("metrics", "", "dump the run's counters and stage aggregates to stderr when it ends: \"text\", \"json\" or \"prom\"")
 		parametricF = fs.String("parametric", "auto", "closed-form parametric fast path for -sweep: \"auto\" (numeric fallback outside the validated domain), \"on\" (fail if unavailable), \"off\" (numeric engine only)")
 		traceOut    = fs.String("trace", "", "write a JSON trace and run manifest to this file (spans, counters, cache stats; see docs/OBSERVABILITY.md)")
 		pprofSpec   = fs.String("pprof", "", "profiling: \"cpu[=file]\", \"mem[=file]\", or a host:port to serve net/http/pprof")
@@ -168,14 +168,24 @@ func run(args []string) (err error) {
 		Params:  paramsMap(params),
 		Workers: *parallel,
 	}
-	if *traceOut != "" || *metricsVal == "prom" {
+	if *traceOut != "" || *metricsVal != "" {
 		tracer = obs.NewTracer()
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 	if *traceOut != "" {
 		defer func() {
-			if werr := writeTraceFile(*traceOut, tracer, *man); werr != nil && err == nil {
+			if werr := obs.WriteTraceFile(*traceOut, tracer, *man); werr != nil && err == nil {
 				err = werr
+			}
+		}()
+	}
+	if *metricsVal != "" {
+		// The metrics go to stderr, keeping -csv and report output on
+		// stdout machine-parseable. Modes that count nothing (-list,
+		// -experiment) print an empty document.
+		defer func() {
+			if merr := tracer.WriteMetrics(os.Stderr, *metricsVal); merr != nil && err == nil {
+				err = merr
 			}
 		}()
 	}
@@ -190,7 +200,7 @@ func run(args []string) (err error) {
 		return nil
 
 	case *modelcheck:
-		return modelCheck(params, os.Stdout, *metricsVal, tracer)
+		return modelCheck(ctx, params, os.Stdout)
 
 	case *selfcheck:
 		return selfCheck(ctx, params, os.Stdout)
@@ -202,11 +212,6 @@ func run(args []string) (err error) {
 			Divider:   divider,
 			Workers:   *parallel,
 		})
-		if rep != nil && rep.Report != nil {
-			if merr := dumpMetrics(*metricsVal, rep.Report.Metrics, tracer); merr != nil && err == nil {
-				err = merr
-			}
-		}
 		if err != nil {
 			return err
 		}
@@ -240,8 +245,6 @@ func run(args []string) (err error) {
 			csvOut:     *csvOut,
 			keepGoing:  *keepGoing,
 			workers:    *parallel,
-			metrics:    *metricsVal,
-			tracer:     tracer,
 			manifest:   man,
 			parametric: parametric,
 		})
@@ -253,8 +256,6 @@ func run(args []string) (err error) {
 			csvOut:     *csvOut,
 			keepGoing:  *keepGoing,
 			workers:    *parallel,
-			metrics:    *metricsVal,
-			tracer:     tracer,
 			manifest:   man,
 			parametric: parametric,
 		})
@@ -267,52 +268,12 @@ func run(args []string) (err error) {
 
 const divider = "================================================================"
 
-// dumpMetrics writes the collected run metrics to stderr in the requested
-// mode ("" = off, "text", "json", "prom"). A non-nil tracer is folded in
-// first (counters and stage aggregates), so every mode reports the traced
-// observability alongside the batch counters. Stderr keeps -csv and report
-// output on stdout machine-parseable.
-func dumpMetrics(mode string, m *robust.Metrics, tr *obs.Tracer) error {
-	if mode == "" {
-		return nil
-	}
-	if m == nil {
-		m = robust.NewMetrics(0, 0)
-	}
-	m.AddTrace(tr)
-	switch mode {
-	case "json":
-		return m.WriteJSON(os.Stderr)
-	case "prom":
-		// One shared exposition path (counters, stages, histograms) with
-		// the gsuserve /metrics endpoint — see robust.Metrics.WritePromWith.
-		return m.WritePromWith(os.Stderr, tr.Histograms())
-	default:
-		m.WriteText(os.Stderr)
-		return nil
-	}
-}
-
 // paramsMap renders a parameter set as the manifest's flag-keyed map.
 func paramsMap(p mdcd.Params) map[string]float64 {
 	return map[string]float64{
 		"theta": p.Theta, "lambda": p.Lambda, "munew": p.MuNew, "muold": p.MuOld,
 		"coverage": p.Coverage, "pext": p.PExt, "alpha": p.Alpha, "beta": p.Beta,
 	}
-}
-
-// writeTraceFile writes the run's trace document (manifest + span tree +
-// histograms) to path as indented JSON.
-func writeTraceFile(path string, tr *obs.Tracer, man obs.Manifest) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	werr := obs.WriteTrace(f, tr, man)
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("trace: %w", cerr)
-	}
-	return werr
 }
 
 // parseParametricMode maps the -parametric flag value to the analyzer
@@ -337,8 +298,6 @@ type sweepConfig struct {
 	csvOut     bool
 	keepGoing  bool
 	workers    int
-	metrics    string
-	tracer     *obs.Tracer
 	manifest   *obs.Manifest
 	parametric core.ParametricMode
 }
@@ -399,11 +358,6 @@ func sweepWith(ctx context.Context, a *core.Analyzer, p mdcd.Params, cfg sweepCo
 		cfg.manifest.GridPoints = len(grid)
 	}
 	pr, err := a.CurvePartialWorkers(ctx, grid, cfg.workers)
-	if pr != nil && pr.Report != nil {
-		if merr := dumpMetrics(cfg.metrics, pr.Report.Metrics, cfg.tracer); merr != nil && err == nil {
-			err = merr
-		}
-	}
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"guardedop/internal/obs"
 	"guardedop/internal/robust"
 )
 
@@ -299,44 +300,70 @@ func TestRunSweepParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestModelCheckMetricsJSON(t *testing.T) {
+// modelCheckMetrics runs -modelcheck with the given -metrics format and
+// returns what it wrote to stderr.
+func modelCheckMetrics(t *testing.T, format string) string {
+	t.Helper()
 	stderr, err := captureStderr(t, func() error {
 		_, runErr := capture(t, func() error {
-			return run([]string{"-modelcheck", "-metrics", "json"})
+			return run([]string{"-modelcheck", "-metrics", format})
 		})
 		return runErr
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m robust.Metrics
-	if jerr := json.Unmarshal([]byte(stderr), &m); jerr != nil {
+	return stderr
+}
+
+func TestModelCheckMetricsJSON(t *testing.T) {
+	stderr := modelCheckMetrics(t, "json")
+	var doc struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if jerr := json.Unmarshal([]byte(stderr), &doc); jerr != nil {
 		t.Fatalf("-metrics json did not emit parseable JSON on stderr: %v\n%s", jerr, stderr)
 	}
 	// The baseline model set is clean, so every per-check counter exists
 	// with zero findings; the RMGd generator-row check must be among them.
-	if len(m.Checks) == 0 {
+	checks := 0
+	for key, n := range doc.Counters {
+		if !strings.HasPrefix(key, obs.CtrModelCheckFindings+"{") {
+			continue
+		}
+		checks++
+		if n != 0 {
+			t.Errorf("baseline model check %s reports %d findings", key, n)
+		}
+	}
+	if checks == 0 {
 		t.Fatalf("metrics carry no model-check counters:\n%s", stderr)
 	}
-	for key, c := range m.Checks {
-		if c.Findings != 0 || c.Elided != 0 {
-			t.Errorf("baseline model check %s reports findings: %+v", key, c)
-		}
+	if n, ok := doc.Counters[obs.Labeled(obs.CtrModelCheckFindings, "check", "RMGd/generator-row-sum")]; !ok || n != 0 {
+		t.Errorf("RMGd/generator-row-sum findings = %d (present %v), want a listed 0", n, ok)
 	}
 }
 
 func TestModelCheckMetricsText(t *testing.T) {
-	stderr, err := captureStderr(t, func() error {
-		_, runErr := capture(t, func() error {
-			return run([]string{"-modelcheck", "-metrics", "text"})
-		})
-		return runErr
-	})
-	if err != nil {
-		t.Fatal(err)
+	stderr := modelCheckMetrics(t, "text")
+	if !strings.Contains(stderr, "  modelcheck.findings{check=RMGd/generator-row-sum} = 0\n") {
+		t.Errorf("text metrics missing the RMGd/generator-row-sum check:\n%s", stderr)
 	}
-	if !strings.Contains(stderr, "model checks:") {
-		t.Errorf("text metrics missing model-check section:\n%s", stderr)
+	// No batch ran, so the dump must not invent one.
+	if strings.Contains(stderr, "batch") {
+		t.Errorf("text metrics report a batch that never ran:\n%s", stderr)
+	}
+}
+
+func TestModelCheckMetricsProm(t *testing.T) {
+	stderr := modelCheckMetrics(t, "prom")
+	for _, want := range []string{
+		"# TYPE gsu_modelcheck_findings_total counter\n",
+		`gsu_modelcheck_findings_total{check="RMGd/generator-row-sum"} 0` + "\n",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("prom metrics missing %q:\n%s", want, stderr)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -15,25 +16,19 @@ import (
 // and both RMNd instantiations) from the given parameters and verifies
 // generator validity, reachability, absorbing/ergodic structure, and
 // reward bounds — all before any solve. Each report is printed whether or
-// not it passes; a failing report is tagged with exit code 2. With
-// metricsMode set, the per-check finding/elision counters of every model
-// are routed through robust.Metrics and dumped to stderr, the same
-// structure the batch runners expose, so CI dashboards track
-// model-verification health alongside solver health.
-func modelCheck(p mdcd.Params, w io.Writer, metricsMode string, tr *obs.Tracer) error {
+// not it passes; a failing report is tagged with exit code 2. Every
+// check's finding count goes to the context's tracer as one
+// obs.CtrModelCheckFindings sample keyed <model>/<check>, zero for a
+// clean check, so -metrics reports model-verification health alongside
+// solver health.
+func modelCheck(ctx context.Context, p mdcd.Params, w io.Writer) error {
 	fmt.Fprintf(w, "modelcheck: static model verification on %+v\n\n", p)
 	reports, err := mdcd.CheckModels(p)
 	for _, rep := range reports {
 		rep.WriteText(w)
 		fmt.Fprintln(w)
-	}
-	if metricsMode != "" {
-		m := robust.NewMetrics(0, 0)
-		for _, rep := range reports {
-			m.AddChecks(rep.Model, rep.Counters())
-		}
-		if merr := dumpMetrics(metricsMode, m, tr); merr != nil && err == nil {
-			err = merr
+		for check, n := range rep.Counters() {
+			obs.Count(ctx, obs.Labeled(obs.CtrModelCheckFindings, "check", rep.Model+"/"+check), int64(n))
 		}
 	}
 	if err != nil {

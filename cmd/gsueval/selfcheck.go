@@ -31,7 +31,7 @@ func selfCheckSimConfig() experiments.ValsimConfig {
 // come back tagged with exit code 2; cancellation stays a plain runtime
 // error.
 func selfCheck(ctx context.Context, p mdcd.Params, w io.Writer) error {
-	if err := modelCheck(p, w, "", nil); err != nil {
+	if err := modelCheck(ctx, p, w); err != nil {
 		return err
 	}
 

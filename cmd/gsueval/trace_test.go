@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -135,59 +136,88 @@ func TestSweepTraceManifestParametricFallback(t *testing.T) {
 	}
 }
 
-// The -metrics json document is a consumer contract: it must carry the
-// schema version stamp and only keys the schema pins. A new key means a
-// schema bump, not a silent extension.
-func TestMetricsJSONSchemaGolden(t *testing.T) {
+// sweepArgs is the small numeric sweep the -metrics tests run.
+var sweepArgs = []string{"-sweep", "-points", "4", "-theta", "2000", "-parametric", "off"}
+
+// sweepMetrics runs the small numeric sweep with -metrics format and
+// returns what it wrote to stderr.
+func sweepMetrics(t *testing.T, format string) string {
+	t.Helper()
 	stderr, err := captureStderr(t, func() error {
 		_, runErr := capture(t, func() error {
-			return run([]string{"-sweep", "-points", "4", "-theta", "2000", "-parametric", "off", "-metrics", "json"})
+			return run(append(append([]string{}, sweepArgs...), "-metrics", format))
 		})
 		return runErr
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return stderr
+}
+
+// The -metrics json document is a consumer contract: it must carry the
+// schema version stamp and only keys the schema pins. A new key means a
+// schema bump, not a silent extension.
+func TestMetricsJSONSchemaGolden(t *testing.T) {
+	stderr := sweepMetrics(t, "json")
 	var doc map[string]any
 	if jerr := json.Unmarshal([]byte(stderr), &doc); jerr != nil {
 		t.Fatalf("-metrics json is not valid JSON: %v\n%s", jerr, stderr)
 	}
-	if v, ok := doc["schema_version"].(float64); !ok || v != 1 {
-		t.Errorf("schema_version = %v, want 1", doc["schema_version"])
+	if v, ok := doc["schema_version"].(float64); !ok || v != 2 {
+		t.Errorf("schema_version = %v, want 2", doc["schema_version"])
 	}
-	pinned := map[string]bool{
-		"schema_version": true, "attempts": true, "retries": true,
-		"panics": true, "errors": true, "item_nanos": true,
-		"wall_nanos": true, "workers": true, "solves": true,
-		"checks": true, "counters": true, "stages": true,
-	}
+	pinned := []string{"schema_version", "counters", "stages"}
 	for key := range doc {
-		if !pinned[key] {
-			t.Errorf("metrics document grew unpinned key %q — bump robust.MetricsSchemaVersion and the golden set together", key)
+		if !slices.Contains(pinned, key) {
+			t.Errorf("metrics document grew unpinned key %q — bump obs.MetricsDocVersion and the golden set together", key)
 		}
 	}
-	for _, key := range []string{"attempts", "item_nanos", "wall_nanos", "workers", "solves"} {
+	for _, key := range pinned {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("metrics document missing required key %q:\n%s", key, stderr)
 		}
 	}
 }
 
-// -metrics prom must expose the run as Prometheus text families: traced
-// counters, batch counters, stage aggregates, and span histograms.
-func TestMetricsPromSweep(t *testing.T) {
-	stderr, err := captureStderr(t, func() error {
-		_, runErr := capture(t, func() error {
-			return run([]string{"-sweep", "-points", "4", "-theta", "2000", "-parametric", "off", "-metrics", "prom"})
-		})
-		return runErr
-	})
+// -metrics json reads the same tracer as -trace: its solver-pass counter
+// equals the trace manifest's solver_passes for the same arguments.
+func TestMetricsJSONSolvePassesMatchTrace(t *testing.T) {
+	var doc struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if stderr := sweepMetrics(t, "json"); json.Unmarshal([]byte(stderr), &doc) != nil {
+		t.Fatalf("-metrics json is not valid JSON:\n%s", stderr)
+	}
+
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if _, err := capture(t, func() error {
+		return run(append(append([]string{}, sweepArgs...), "-trace", path))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var trace obs.TraceDoc
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatalf("trace file is not valid JSON: %v", err)
+	}
+
+	// Two series sweeps over the grid's 4 gaps.
+	if got, want := doc.Counters[obs.CtrSolvePasses], trace.Manifest.SolverPasses; got != want || want != 8 {
+		t.Errorf("-metrics json %s = %d, trace solver_passes = %d, want both 8", obs.CtrSolvePasses, got, want)
+	}
+}
+
+// -metrics prom must expose the run as Prometheus text families: traced
+// counters, batch counters, stage aggregates, and span histograms.
+func TestMetricsPromSweep(t *testing.T) {
+	stderr := sweepMetrics(t, "prom")
 	for _, want := range []string{
 		"# TYPE gsu_ctmc_solve_passes_total counter",
-		"gsu_batch_attempts_total",
+		"gsu_robust_attempts_total",
 		`gsu_stage_total{stage="core.curve"} 1`,
 		"# TYPE gsu_span_duration_seconds histogram",
 		`le="+Inf"`,

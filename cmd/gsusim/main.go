@@ -22,7 +22,6 @@ import (
 	"guardedop/internal/mdcd"
 	"guardedop/internal/obs"
 	"guardedop/internal/obs/pprofutil"
-	"guardedop/internal/robust"
 	"guardedop/internal/sim"
 )
 
@@ -96,14 +95,14 @@ func run(args []string) (err error) {
 			},
 		}
 		defer func() {
-			if werr := writeTraceFile(*traceOut, tracer, man); werr != nil && err == nil {
+			if werr := obs.WriteTraceFile(*traceOut, tracer, man); werr != nil && err == nil {
 				err = werr
 			}
 		}()
 	}
 	if *metricsVal != "" {
 		defer func() {
-			if merr := dumpMetrics(*metricsVal, tracer); merr != nil && err == nil {
+			if merr := tracer.WriteMetrics(os.Stderr, *metricsVal); merr != nil && err == nil {
 				err = merr
 			}
 		}()
@@ -145,35 +144,4 @@ func run(args []string) (err error) {
 			r.Phi, r.AnalyticY, r.SimY, r.SimYStdErr, r.PerPathY)
 	}
 	return nil
-}
-
-// dumpMetrics writes the tracer's collected run metrics to stderr in the
-// requested mode, through the same robust.Metrics vocabulary and shared
-// Prometheus exposition path as gsueval -metrics and gsuserve /metrics.
-func dumpMetrics(mode string, tr *obs.Tracer) error {
-	m := robust.NewMetrics(0, 0)
-	m.AddTrace(tr)
-	switch mode {
-	case "json":
-		return m.WriteJSON(os.Stderr)
-	case "prom":
-		return m.WritePromWith(os.Stderr, tr.Histograms())
-	default:
-		m.WriteText(os.Stderr)
-		return nil
-	}
-}
-
-// writeTraceFile writes the run's trace document (manifest + span tree +
-// histograms) to path as indented JSON.
-func writeTraceFile(path string, tr *obs.Tracer, man obs.Manifest) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	werr := obs.WriteTrace(f, tr, man)
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("trace: %w", cerr)
-	}
-	return werr
 }

@@ -548,8 +548,9 @@ func (a *Analyzer) curveBatch(ctx context.Context, phis []float64, strict bool, 
 // one batched solve pass over contiguous segments of the sorted grid
 // (engine.go), then a per-point assembly batch. A point whose segment solve
 // failed falls back to the point-wise path so only genuinely degenerate
-// durations fail. The report's metrics record the CTMC solver passes the
-// sweep spent (Metrics.Solves).
+// durations fail. The sweep counts its CTMC solver passes into the
+// context (obs.CtrSolvePasses); a caller that needs the exact count opens
+// its own obs.WithScope around the call.
 //
 // A sweep whose context dies mid-way keeps its completed prefix: segments
 // solved before the deadline are still assembled (assembly is pure
@@ -558,10 +559,6 @@ func (a *Analyzer) curveBatch(ctx context.Context, phis []float64, strict bool, 
 // ErrCanceled so callers — gsueval's -timeout, gsuserve's per-request
 // deadlines — can serve the surviving points as a partial result.
 func (a *Analyzer) curveBatchPolicy(ctx context.Context, phis []float64, policy GammaPolicy, strict bool, workers int) (*robust.PartialResult[Result], error) {
-	// The solver-pass count is read off a context-carried scope, not a
-	// global-counter delta, so concurrent analyzers in the same process
-	// cannot pollute each other's Metrics.Solves.
-	ctx, scope := obs.WithScope(ctx)
 	ctx, sp := obs.StartSpan(ctx, "core.curve")
 	defer sp.End()
 	sp.SetInt("points", int64(len(phis)))
@@ -608,7 +605,6 @@ func (a *Analyzer) curveBatchPolicy(ctx context.Context, phis []float64, policy 
 		}
 		return a.assemble(pt.phi, policy, pt.gdm, pt.pNewRem, pt.pOldRem)
 	}, robust.BatchOptions{StopOnError: strict, Workers: workers})
-	pr.Report.Metrics.AddSolves(scope.Counter(obs.CtrSolvePasses))
 	if err == nil && pr.Report.Failed() > 0 {
 		if cerr := ctx.Err(); cerr != nil {
 			err = fmt.Errorf("core: curve sweep canceled after %d/%d points: %w (%v)",

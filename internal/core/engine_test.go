@@ -139,18 +139,18 @@ func TestCurveWorkersBitIdentical(t *testing.T) {
 }
 
 // The acceptance bar of the engine: a 50-point paper-scale grid must cost
-// at least 3× fewer solver passes than per-point evaluation, with the
-// count surfaced through the batch report's metrics.
+// at least 3× fewer solver passes than per-point evaluation, each count
+// read off a scope opened around the run.
 func TestCurveEngineSolveBudget(t *testing.T) {
 	a := newAnalyzer(t, nil)
 	grid := SweepGrid(10000, 49) // 50 points
-	pr, err := a.CurvePartialWorkers(context.Background(), grid, 1)
-	if err != nil {
+	ectx, escope := obs.WithScope(context.Background())
+	if _, err := a.CurvePartialWorkers(ectx, grid, 1); err != nil {
 		t.Fatal(err)
 	}
-	engineOps := pr.Report.Metrics.Solves
+	engineOps := escope.Counter(obs.CtrSolvePasses)
 	if engineOps <= 0 {
-		t.Fatal("engine run recorded no solver passes in Metrics.Solves")
+		t.Fatal("engine run counted no solver passes")
 	}
 
 	ctx, scope := obs.WithScope(context.Background())
@@ -221,11 +221,11 @@ func BenchmarkCurveEngine(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	pr, err := a.CurvePartialWorkers(context.Background(), grid, 1)
-	if err != nil {
+	ctx, scope := obs.WithScope(context.Background())
+	if _, err := a.CurvePartialWorkers(ctx, grid, 1); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(pr.Report.Metrics.Solves), "solves/sweep")
+	b.ReportMetric(float64(scope.Counter(obs.CtrSolvePasses)), "solves/sweep")
 }
 
 func BenchmarkCurvePerPoint(b *testing.B) {

@@ -4,22 +4,24 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"guardedop/internal/obs"
 )
 
-// Two analyzers sweeping the same grid concurrently must each report
-// exactly their own solver passes in Metrics.Solves. A delta of a
-// process-wide counter would leak a concurrent sweep's passes into the
-// other run's metrics; the context-scoped counters make the attribution
-// exact.
+// Two analyzers sweeping the same grid concurrently must each count
+// exactly their own solver passes into the scope their caller opened. A
+// delta of a process-wide counter would leak a concurrent sweep's passes
+// into the other run's count; the context-scoped counters make the
+// attribution exact.
 func TestConcurrentAnalyzersAttributeOwnSolves(t *testing.T) {
 	grid := SweepGrid(10000, 49) // the paper-scale 50-point acceptance grid
 
 	ref := newAnalyzer(t, nil)
-	pr, err := ref.CurvePartialWorkers(context.Background(), grid, 2)
-	if err != nil {
+	ctx, scope := obs.WithScope(context.Background())
+	if _, err := ref.CurvePartialWorkers(ctx, grid, 2); err != nil {
 		t.Fatal(err)
 	}
-	want := pr.Report.Metrics.Solves
+	want := scope.Counter(obs.CtrSolvePasses)
 	if want <= 0 {
 		t.Fatal("sequential baseline recorded no solver passes")
 	}
@@ -36,12 +38,12 @@ func TestConcurrentAnalyzersAttributeOwnSolves(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr, err := analyzers[i].CurvePartialWorkers(context.Background(), grid, 2)
-			if err != nil {
+			ctx, scope := obs.WithScope(context.Background())
+			if _, err := analyzers[i].CurvePartialWorkers(ctx, grid, 2); err != nil {
 				errs[i] = err
 				return
 			}
-			solves[i] = pr.Report.Metrics.Solves
+			solves[i] = scope.Counter(obs.CtrSolvePasses)
 		}()
 	}
 	wg.Wait()

@@ -9,7 +9,8 @@ import (
 
 // Context-carried scopes must see exactly the solver passes of their own
 // region even when another goroutine solves on the same chain concurrently
-// — the attribution behind per-run Metrics.Solves.
+// — the attribution behind every per-call pass count a caller reads off
+// its own scope (gsuserve's curve `solves` field, the core budget tests).
 func TestScopedSolveCountsUnpollutedByConcurrentSolves(t *testing.T) {
 	c := twoState(t, 1.5, 0.5)
 	pi0, _ := c.PointMass(0)

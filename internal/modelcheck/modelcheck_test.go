@@ -240,8 +240,15 @@ func TestCountersReportFindingsElisionsAndCleanChecks(t *testing.T) {
 	sp.Initial[0] = 1
 	rep := modelcheck.CheckSpace("noisy", sp, modelcheck.Options{})
 	c := rep.Counters()
-	if got := c["generator-row-sum"]; got.Findings != 64 || got.Elided != 59 {
-		t.Errorf("generator-row-sum counters = %+v, want findings 64 elided 59", got)
+	kept := 0
+	for _, i := range rep.Issues {
+		if i.Check == "generator-row-sum" {
+			kept++
+		}
+	}
+	// The count covers every finding, the 59 the cap elided included.
+	if got := c["generator-row-sum"]; got != 64 || got-kept != 59 {
+		t.Errorf("generator-row-sum findings = %d with %d kept, want 64 with 59 elided", got, kept)
 	}
 	// A check that ran and found nothing still appears, with zeros: the
 	// counter dump doubles as a record of verification coverage.
@@ -249,8 +256,8 @@ func TestCountersReportFindingsElisionsAndCleanChecks(t *testing.T) {
 	if !ok {
 		t.Fatalf("clean check missing from counters: %v", c)
 	}
-	if clean.Findings != 0 || clean.Elided != 0 {
-		t.Errorf("clean check counters = %+v, want zeros", clean)
+	if clean != 0 {
+		t.Errorf("clean check findings = %d, want 0", clean)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"guardedop/internal/reward"
-	"guardedop/internal/robust"
 )
 
 // Report is the outcome of verifying one model.
@@ -51,21 +50,16 @@ func (r *Report) ran(checks ...string) {
 	}
 }
 
-// Counters returns the per-check finding and elision counts, keyed by
-// check name: Findings is how many findings the check produced in total
-// (zero for a check that ran clean), Elided how many of them the
-// per-check cap dropped from Issues. The result plugs straight into
-// robust.(*Metrics).AddChecks, which is how the CLI routes
-// model-verification health through the same metrics structure as solver
-// health (docs/ROBUSTNESS.md).
-func (r *Report) Counters() map[string]robust.CheckCounters {
-	out := make(map[string]robust.CheckCounters, len(r.perCheck))
+// Counters returns how many findings each check produced in total, keyed
+// by check name — zero for a check that ran clean, and counting the
+// findings the per-check cap elided from Issues. The CLI counts them into
+// the run's tracer (obs.CtrModelCheckFindings), so model-verification
+// health reaches the same metrics writers as solver health
+// (docs/ROBUSTNESS.md).
+func (r *Report) Counters() map[string]int {
+	out := make(map[string]int, len(r.perCheck))
 	for check, n := range r.perCheck {
-		c := robust.CheckCounters{Findings: n}
-		if r.opts.MaxIssuesPerCheck > 0 && n > r.opts.MaxIssuesPerCheck {
-			c.Elided = n - r.opts.MaxIssuesPerCheck
-		}
-		out[check] = c
+		out[check] = n
 	}
 	return out
 }

@@ -2,9 +2,13 @@
 // lightweight hierarchical span tracer with typed counters and duration
 // histograms, threaded through the solver layers (ctmc → mdcd → core →
 // robust) via the context, plus the sinks that make a run inspectable —
-// an in-memory aggregate merged into robust.Metrics, a JSON trace/manifest
-// document (gsueval -trace), a Prometheus-style text exposition (gsueval
-// -metrics prom), and pprof profiling hooks for the binaries.
+// the run's metrics (counters and per-stage span aggregates) in each
+// -metrics format, with one writer per format (Tracer.WriteText,
+// WriteJSON, WriteProm; the gsuserve /metrics endpoint uses WriteProm),
+// a JSON trace/manifest document (gsueval -trace), and pprof profiling
+// hooks for the binaries. The Tracer is the run's only aggregate: the
+// batch runner, the model checker and the serving layer all count into
+// it.
 //
 // # Cost model
 //

@@ -31,6 +31,29 @@ func promLabel(s string) string {
 	return r.Replace(s)
 }
 
+// Labeled returns the counter name of one sample of a labelled counter
+// family: family{label=value}. The text and JSON metrics writers print
+// the name as is; the Prometheus writer exposes every sample of the
+// family under one gsu_<family>_total{label="value"} family.
+func Labeled(family, label, value string) string {
+	return family + "{" + label + "=" + value + "}"
+}
+
+// splitLabeled parses a counter name built by Labeled back into its
+// parts; any other name comes back whole with labeled false.
+func splitLabeled(name string) (family, label, value string, labeled bool) {
+	open := strings.IndexByte(name, '{')
+	if open < 0 || !strings.HasSuffix(name, "}") {
+		return name, "", "", false
+	}
+	kv := name[open+1 : len(name)-1]
+	eq := strings.IndexByte(kv, '=')
+	if eq < 0 {
+		return name, "", "", false
+	}
+	return name[:open], kv[:eq], kv[eq+1:], true
+}
+
 // sortedKeys returns the keys of a map in deterministic order.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
@@ -43,14 +66,28 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // WritePromText renders counters, span-stage aggregates and duration
 // histograms in the Prometheus text exposition format (version 0.0.4).
-// Counters become one family each (gsu_<name>_total); stages become the
-// labelled pair gsu_stage_total / gsu_stage_nanos_total; histograms
-// become the labelled family gsu_span_duration_seconds. Output ordering
-// is deterministic so CI can diff two runs.
+// Counters become one family each (gsu_<name>_total), except that the
+// samples of a labelled counter (see Labeled) share one family
+// gsu_<family>_total{label="value"}; stages become the labelled pair
+// gsu_stage_total / gsu_stage_nanos_total; histograms become the
+// labelled family gsu_span_duration_seconds. Output ordering is
+// deterministic so CI can diff two runs.
 func WritePromText(w io.Writer, counters map[string]int64, stages map[string]StageStats, hists map[string]HistSnapshot) error {
+	typed := make(map[string]bool)
 	for _, name := range sortedKeys(counters) {
-		fam := promNamespace + "_" + promName(name) + "_total"
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", fam, fam, counters[name]); err != nil {
+		family, label, value, labeled := splitLabeled(name)
+		fam := promNamespace + "_" + promName(family) + "_total"
+		if !typed[fam] {
+			typed[fam] = true
+			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", fam); err != nil {
+				return fmt.Errorf("obs: writing prom counters: %w", err)
+			}
+		}
+		sample := fam
+		if labeled {
+			sample = fmt.Sprintf(`%s{%s="%s"}`, fam, promName(label), promLabel(value))
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n", sample, counters[name]); err != nil {
 			return fmt.Errorf("obs: writing prom counters: %w", err)
 		}
 	}
@@ -92,10 +129,4 @@ func WritePromText(w io.Writer, counters map[string]int64, stages map[string]Sta
 		}
 	}
 	return nil
-}
-
-// WriteProm renders the tracer's own counters, stages and histograms in
-// the Prometheus text exposition format.
-func (t *Tracer) WriteProm(w io.Writer) error {
-	return WritePromText(w, t.Counters(), t.Stages(), t.Histograms())
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 )
@@ -121,4 +122,18 @@ func WriteTrace(w io.Writer, tr *Tracer, man Manifest) error {
 		return fmt.Errorf("obs: writing trace: %w", err)
 	}
 	return nil
+}
+
+// WriteTraceFile writes the tracer's trace document to path (the
+// binaries' -trace flag).
+func WriteTraceFile(path string, tr *Tracer, man Manifest) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	werr := WriteTrace(f, tr, man)
+	if cerr := f.Close(); werr == nil && cerr != nil {
+		werr = fmt.Errorf("trace: %w", cerr)
+	}
+	return werr
 }

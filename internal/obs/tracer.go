@@ -32,6 +32,19 @@ const (
 	CtrParametricFallbacks = "parametric.fallbacks"
 	// CtrRetries counts batch-item retry attempts.
 	CtrRetries = "robust.retries"
+	// CtrAttempts counts every batch-item invocation, retries included;
+	// CtrPanics counts the recovered item panics. RunBatch emits both
+	// once per batch (CtrPanics only when nonzero).
+	CtrAttempts = "robust.attempts"
+	CtrPanics   = "robust.panics"
+	// CtrErrorsPrefix prefixes the per-class failed-item counters:
+	// robust.errors.<class> for each robust error class a batch recorded.
+	CtrErrorsPrefix = "robust.errors."
+	// CtrModelCheckFindings is the labelled family of static
+	// model-verification findings: one Labeled sample per check that ran,
+	// keyed check=<model>/<check>, zero for a clean check so the dump
+	// records coverage.
+	CtrModelCheckFindings = "modelcheck.findings"
 	// CtrTemplateInstances counts constituent models generated from
 	// scenario templates; CtrTemplateStates accumulates their tangible
 	// state counts, so a run manifest shows the structural size of the
@@ -325,8 +338,8 @@ func (t *Tracer) Counters() map[string]int64 {
 }
 
 // StageStats is the compact aggregate of one span name: how many spans
-// finished under it and their total wall clock. This is the form merged
-// into robust.Metrics.
+// finished under it and their total wall clock. This is the form every
+// metrics writer (text, JSON, Prometheus) reports stages in.
 type StageStats struct {
 	Count int64 `json:"count"`
 	Nanos int64 `json:"nanos"`

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"guardedop/internal/obs"
 )
@@ -36,7 +35,7 @@ type BatchOptions struct {
 	// (capped at the item count). Results, OK and the Report are
 	// index-aligned and identical for every worker count — items must not
 	// share mutable state through fn, but the batch layer itself never
-	// reorders outcomes. Only the wall-clock metrics vary between runs.
+	// reorders outcomes. Only the wall-clock spans vary between runs.
 	Workers int
 }
 
@@ -79,9 +78,13 @@ type Report struct {
 	Completed int
 	// Failures lists the failed items in input order.
 	Failures []ItemError
-	// Metrics carries the observability counters of the run. RunBatch
-	// always populates it; hand-built reports may leave it nil.
-	Metrics *Metrics
+	// Metrics carries the batch's retry total (the invocations beyond
+	// each item's first) for callers that read it off the report rather
+	// than off a tracer's robust.retries counter. Every other batch fact
+	// is counted only through obs (see RunBatch).
+	Metrics struct {
+		Retries int64
+	}
 }
 
 // Failed returns the number of failed items.
@@ -155,7 +158,6 @@ type itemState[R any] struct {
 	err      error
 	attempts int
 	panicked bool
-	nanos    int64
 	started  bool
 }
 
@@ -189,7 +191,7 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 	out := &PartialResult[R]{
 		Results: make([]R, len(items)),
 		OK:      make([]bool, len(items)),
-		Report:  &Report{Total: len(items), Metrics: NewMetrics(len(items), workers)},
+		Report:  &Report{Total: len(items)},
 	}
 
 	states := make([]itemState[R], len(items))
@@ -197,7 +199,6 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 		next    atomic.Int64
 		stopped atomic.Bool // StopOnError tripped
 	)
-	start := time.Now()
 	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
@@ -237,8 +238,11 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 	}
 
 	// Aggregate in input order so Report.Failures comes out sorted by item
-	// index regardless of completion order.
-	m := out.Report.Metrics
+	// index regardless of completion order. The batch's counters are
+	// tallied here and emitted once below, not once per item, so a
+	// traced batch pays a handful of counter updates whatever its size.
+	var attempts, retries, panics int64
+	errs := make(map[Class]int64)
 	ctxErr := ctx.Err()
 	ran := 0
 	canceledItem := false
@@ -250,23 +254,20 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 			// are accounted as canceled so the report stays complete.
 			if ctxErr != nil {
 				cerr := fmt.Errorf("%w: %v", ErrCanceled, ctxErr)
-				m.countError(cerr)
+				errs[ClassCanceled]++
 				out.Report.Failures = append(out.Report.Failures, ItemError{Index: i, Err: cerr})
 				canceledItem = true
 			}
 			continue
 		}
 		ran++
-		m.Attempts += int64(st.attempts)
-		if st.attempts > 1 {
-			m.Retries += int64(st.attempts - 1)
-		}
+		attempts += int64(st.attempts)
+		retries += int64(st.attempts - 1)
 		if st.panicked {
-			m.Panics++
+			panics++
 		}
-		m.ItemNanos[i] = st.nanos
 		if st.err != nil {
-			m.countError(st.err)
+			errs[ErrorClass(st.err)]++
 			if errors.Is(st.err, ErrCanceled) {
 				canceledItem = true
 			}
@@ -277,7 +278,14 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 		out.OK[i] = true
 		out.Report.Completed++
 	}
-	m.WallNanos = time.Since(start).Nanoseconds()
+	out.Report.Metrics.Retries = retries
+	obs.Count(ctx, obs.CtrAttempts, attempts)
+	if panics > 0 {
+		obs.Count(ctx, obs.CtrPanics, panics)
+	}
+	for class, n := range errs {
+		obs.Count(ctx, obs.CtrErrorsPrefix+string(class), n)
+	}
 
 	if ctxErr != nil && canceledItem {
 		return out, fmt.Errorf("robust: batch stopped after %d/%d items: %w (%v)",
@@ -297,13 +305,11 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 }
 
 // runAttempts executes one item's attempt/retry loop, recording the
-// outcome and its wall clock into st. A cancellation observed where a
-// retry would otherwise happen is recorded as the item's failure wrapped
-// in ErrCanceled (with the triggering attempt error still reachable via
-// errors.Is), not as an ordinary solver failure.
+// outcome into st. A cancellation observed where a retry would otherwise
+// happen is recorded as the item's failure wrapped in ErrCanceled (with
+// the triggering attempt error still reachable via errors.Is), not as an
+// ordinary solver failure.
 func runAttempts[T, R any](ctx context.Context, item T, fn func(context.Context, T) (R, error), opts BatchOptions, st *itemState[R]) {
-	t0 := time.Now()
-	defer func() { st.nanos = time.Since(t0).Nanoseconds() }()
 	for {
 		st.attempts++
 		res, err, panicked := runItem(ctx, item, fn)

@@ -9,7 +9,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"guardedop/internal/obs"
 )
+
+// batchWorkers returns the resolved pool size a traced batch recorded on
+// its robust.batch span.
+func batchWorkers(t *testing.T, tr *obs.Tracer) int64 {
+	t.Helper()
+	for _, sp := range obs.Snapshot(tr, obs.Manifest{}).Spans {
+		if sp.Name == "robust.batch" {
+			return sp.Attrs["workers"].(int64)
+		}
+	}
+	t.Fatal("trace has no robust.batch span")
+	return 0
+}
 
 func TestRunBatchAllSucceed(t *testing.T) {
 	items := []int{1, 2, 3, 4}
@@ -234,7 +249,8 @@ func TestRunBatchParallelMatchesSequential(t *testing.T) {
 func TestRunBatchParallelRunsConcurrently(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(4)
-	pr, err := RunBatch(context.Background(), []int{0, 1, 2, 3}, func(_ context.Context, v int) (int, error) {
+	tr := obs.NewTracer()
+	pr, err := RunBatch(obs.WithTracer(context.Background(), tr), []int{0, 1, 2, 3}, func(_ context.Context, v int) (int, error) {
 		barrier.Done()
 		barrier.Wait()
 		return v, nil
@@ -242,7 +258,7 @@ func TestRunBatchParallelRunsConcurrently(t *testing.T) {
 	if err != nil || pr.Report.Succeeded() != 4 {
 		t.Fatalf("concurrent batch: err=%v report=%s", err, pr.Report.Summary())
 	}
-	if got := pr.Report.Metrics.Workers; got != 4 {
+	if got := batchWorkers(t, tr); got != 4 {
 		t.Errorf("resolved workers = %d, want 4", got)
 	}
 }
@@ -321,7 +337,8 @@ func TestRunBatchParallelCancellation(t *testing.T) {
 // sequentially whatever Workers says, so nothing runs past the failure.
 func TestRunBatchStopOnErrorIgnoresWorkers(t *testing.T) {
 	var calls atomic.Int64
-	pr, err := RunBatch(context.Background(), []int{0, 1, 2, 3, 4, 5, 6, 7}, func(_ context.Context, v int) (int, error) {
+	tr := obs.NewTracer()
+	_, err := RunBatch(obs.WithTracer(context.Background(), tr), []int{0, 1, 2, 3, 4, 5, 6, 7}, func(_ context.Context, v int) (int, error) {
 		calls.Add(1)
 		if v == 2 {
 			return 0, errors.New("fatal")
@@ -334,8 +351,8 @@ func TestRunBatchStopOnErrorIgnoresWorkers(t *testing.T) {
 	if got := calls.Load(); got != 3 {
 		t.Errorf("calls = %d, want 3 (nothing past the first failure)", got)
 	}
-	if pr.Report.Metrics.Workers != 1 {
-		t.Errorf("StopOnError pool size = %d, want 1", pr.Report.Metrics.Workers)
+	if got := batchWorkers(t, tr); got != 1 {
+		t.Errorf("StopOnError pool size = %d, want 1", got)
 	}
 }
 
@@ -345,5 +362,81 @@ func TestRunBatchEmpty(t *testing.T) {
 	}, BatchOptions{MinSuccessFraction: 0.5})
 	if err != nil || pr.Report.Total != 0 {
 		t.Fatalf("empty batch: %v, %+v", err, pr.Report)
+	}
+}
+
+// TestRunBatchCollectsMetrics pins the counters a batch reports through
+// obs — attempts, retries, recovered panics and failed items by class —
+// and proves them identical at every worker count. The batch has a
+// clean item, an ill-conditioned failure, a panic, a transient failure
+// retried until its budget runs out, and a tail that a cancellation
+// leaves unstarted.
+func TestRunBatchCollectsMetrics(t *testing.T) {
+	transient := errors.New("transient")
+	const head = 4 // items 0..3 run; items 4 and 5 are the canceled tail
+	run := func(workers int) map[string]int64 {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		tr := obs.NewTracer()
+		var finished atomic.Int64
+		// settle is each head item's last step before it returns: the last
+		// one to finish cancels the batch. On a parallel pool every head
+		// item also waits for that cancellation, so no worker can free
+		// itself early and start a tail item.
+		settle := func() {
+			if finished.Add(1) == head {
+				cancel()
+			}
+			if workers > 1 {
+				<-ctx.Done()
+			}
+		}
+		attempts3 := 0
+		pr, err := RunBatch(obs.WithTracer(ctx, tr), []int{0, 1, 2, 3, 4, 5}, func(_ context.Context, v int) (int, error) {
+			switch v {
+			case 0:
+				settle()
+				return v, nil
+			case 1:
+				settle()
+				return 0, fmt.Errorf("v=1: %w", ErrIllConditioned)
+			case 2:
+				settle()
+				panic("boom")
+			case 3:
+				if attempts3++; attempts3 == 3 {
+					settle()
+				}
+				return 0, fmt.Errorf("v=3: %w", transient)
+			}
+			t.Errorf("workers=%d: tail item %d ran after the cancellation", workers, v)
+			return v, nil
+		}, BatchOptions{Retries: 2, Retryable: func(err error) bool { return errors.Is(err, transient) }, Workers: workers})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
+		}
+		if got := pr.Report.Metrics.Retries; got != 2 {
+			t.Errorf("workers=%d: report retries = %d, want 2", workers, got)
+		}
+		if got := batchWorkers(t, tr); got != int64(workers) {
+			t.Errorf("robust.batch workers attr = %d, want %d", got, workers)
+		}
+		return tr.Counters()
+	}
+	// Item 3 is retried twice after its first attempt: 1+1+1+3 attempts;
+	// the unstarted tail counts as two canceled items and no attempts.
+	want := map[string]int64{
+		obs.CtrAttempts: 6,
+		obs.CtrRetries:  2,
+		obs.CtrPanics:   1,
+		obs.CtrErrorsPrefix + string(ClassIllConditioned): 1,
+		obs.CtrErrorsPrefix + string(ClassPanic):          1,
+		obs.CtrErrorsPrefix + string(ClassOther):          1,
+		obs.CtrErrorsPrefix + string(ClassCanceled):       2,
+	}
+	for _, workers := range []int{1, 4} {
+		if got := run(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: counters = %v, want %v", workers, got, want)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package robust
 
+import "errors"
+
 // Class identifies one class of the robustness error taxonomy — the
 // stable label under which a failure is counted, reported, and mapped to
 // an HTTP status. It is a named type (rather than a bare string) so the
@@ -50,5 +52,32 @@ func AllErrorClasses() []Class {
 		ClassNonFinite,
 		ClassInvariant,
 		ClassOther,
+	}
+}
+
+// ErrorClass returns err's place in the robustness taxonomy, for
+// counting failures by kind. Wrapped causes are honoured through
+// errors.Is; an error outside the taxonomy is ClassOther, and a nil
+// error is the empty Class.
+func ErrorClass(err error) Class {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, ErrPanic):
+		return ClassPanic
+	case errors.Is(err, ErrCanceled):
+		return ClassCanceled
+	case errors.Is(err, ErrTooManyFailures):
+		return ClassTooManyFailures
+	case errors.Is(err, ErrNotConverged):
+		return ClassNotConverged
+	case errors.Is(err, ErrIllConditioned):
+		return ClassIllConditioned
+	case errors.Is(err, ErrNonFinite):
+		return ClassNonFinite
+	case errors.Is(err, ErrInvariant):
+		return ClassInvariant
+	default:
+		return ClassOther
 	}
 }

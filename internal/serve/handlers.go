@@ -9,6 +9,7 @@ import (
 
 	"guardedop/internal/core"
 	"guardedop/internal/mdcd"
+	"guardedop/internal/obs"
 	"guardedop/internal/robust"
 	"guardedop/internal/uncertainty"
 )
@@ -149,25 +150,32 @@ func (s *Server) computeCurve(ctx context.Context, p mdcd.Params, points int) *a
 	if err != nil {
 		return errorResult(err)
 	}
-	grid := core.SweepGrid(p.Theta, points)
-	pr, err := a.CurvePartialWorkers(ctx, grid, s.cfg.Workers)
-	degraded := false
+	resp, err := s.sweepCurve(ctx, a, p, core.SweepGrid(p.Theta, points))
 	if err != nil {
-		// A deadline mid-sweep degrades to the completed prefix instead of
-		// failing the request; every other failure maps through the
-		// taxonomy.
-		if errors.Is(err, robust.ErrCanceled) && pr != nil && pr.Report.Succeeded() > 0 {
-			degraded = true
-		} else {
-			return errorResult(err)
-		}
+		return errorResult(err)
+	}
+	return jsonResult(resp, resp.Degraded, !resp.Degraded)
+}
+
+// sweepCurve runs a's curve engine over grid and folds the outcome into
+// a curve response for parameters p. The sweep runs under its own
+// counter scope, so the response's solves field counts exactly this
+// sweep's solver passes. A deadline mid-sweep degrades to the completed
+// prefix instead of failing the request; every other failure is
+// returned for the taxonomy to map.
+func (s *Server) sweepCurve(ctx context.Context, a *core.Analyzer, p mdcd.Params, grid []float64) (curveResponse, error) {
+	ctx, scope := obs.WithScope(ctx)
+	pr, err := a.CurvePartialWorkers(ctx, grid, s.cfg.Workers)
+	degraded := err != nil
+	if degraded && (!errors.Is(err, robust.ErrCanceled) || pr == nil || pr.Report.Succeeded() == 0) {
+		return curveResponse{}, err
 	}
 	resp := curveResponse{
 		Params:          paramsOut(p),
 		PointsRequested: len(grid),
 		Degraded:        degraded,
 		FailedPoints:    pr.Report.Failed(),
-		Solves:          pr.Report.Metrics.Solves,
+		Solves:          scope.Counter(obs.CtrSolvePasses),
 	}
 	for i, ok := range pr.OK {
 		if ok {
@@ -175,7 +183,7 @@ func (s *Server) computeCurve(ctx context.Context, p mdcd.Params, points int) *a
 		}
 	}
 	resp.PointsReturned = len(resp.Results)
-	return jsonResult(resp, degraded, err == nil)
+	return resp, nil
 }
 
 // handleOptimize serves the continuously refined optimal duration φ*.

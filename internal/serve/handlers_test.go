@@ -90,6 +90,37 @@ func TestCurveHappyPathAndResponseCache(t *testing.T) {
 	}
 }
 
+// A numeric curve's solves field is exactly the solver-pass count of the
+// same sweep run directly on a core analyzer under a caller-opened
+// counter scope.
+func TestCurveSolvesMatchDirectSweep(t *testing.T) {
+	t.Parallel()
+	const points = 8
+	s := New(Config{Parametric: "off", Workers: 2})
+	rec := hit(s.Handler(), http.MethodPost, "/v1/curve", fmt.Sprintf(`{"points":%d}`, points))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	var resp curveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+
+	p := mdcd.DefaultParams()
+	a, err := core.NewAnalyzerWithOptions(p, core.Options{Parametric: core.ParametricOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, scope := obs.WithScope(context.Background())
+	if _, err := a.CurvePartialWorkers(ctx, core.SweepGrid(p.Theta, points), 2); err != nil {
+		t.Fatal(err)
+	}
+	want := scope.Counter(obs.CtrSolvePasses)
+	if want == 0 || resp.Solves != want {
+		t.Errorf("solves = %d, want the direct sweep's %d solver passes", resp.Solves, want)
+	}
+}
+
 // TestCurveParametricDefault pins the daemon's default serving path: the
 // zero-value Config resolves to parametric "auto", so an in-domain curve
 // is served from closed forms — zero CTMC solver passes — and still

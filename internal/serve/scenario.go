@@ -3,12 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
 	"guardedop/internal/core"
-	"guardedop/internal/robust"
 	"guardedop/internal/template"
 )
 
@@ -133,15 +131,9 @@ func (s *Server) computeScenarioCurve(ctx context.Context, spec *template.Spec, 
 	if err != nil {
 		return errorResult(err)
 	}
-	grid := core.SweepGrid(e.inst.Params.Theta, points)
-	pr, err := e.ana.CurvePartialWorkers(ctx, grid, s.cfg.Workers)
-	degraded := false
+	curve, err := s.sweepCurve(ctx, e.ana, e.inst.Params, core.SweepGrid(e.inst.Params.Theta, points))
 	if err != nil {
-		if errors.Is(err, robust.ErrCanceled) && pr != nil && pr.Report.Succeeded() > 0 {
-			degraded = true
-		} else {
-			return errorResult(err)
-		}
+		return errorResult(err)
 	}
 	resp := scenarioCurveResponse{
 		Scenario: scenarioJSON{
@@ -152,19 +144,7 @@ func (s *Server) computeScenarioCurve(ctx context.Context, spec *template.Spec, 
 			GpMeanField: e.inst.GpMeanField,
 			Rhos:        e.inst.Rhos,
 		},
-		curveResponse: curveResponse{
-			Params:          paramsOut(e.inst.Params),
-			PointsRequested: len(grid),
-			Degraded:        degraded,
-			FailedPoints:    pr.Report.Failed(),
-			Solves:          pr.Report.Metrics.Solves,
-		},
+		curveResponse: curve,
 	}
-	for i, ok := range pr.OK {
-		if ok {
-			resp.Results = append(resp.Results, pointOut(pr.Results[i]))
-		}
-	}
-	resp.PointsReturned = len(resp.Results)
-	return jsonResult(resp, degraded, err == nil)
+	return jsonResult(resp, curve.Degraded, !curve.Degraded)
 }

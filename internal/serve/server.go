@@ -486,15 +486,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics exposes the process tracer in the Prometheus text
-// format, through the same formatter as `gsueval -metrics prom`
-// (robust.Metrics.WritePromWith → obs.WritePromText), followed by the
-// serving-state gauges (in-flight requests, limiter occupancy, queue
-// depth, trace-ring fill) and the process runtime/build-info families.
+// format, through the same writer as `gsueval -metrics prom`
+// (obs.Tracer.WriteProm), followed by the serving-state gauges
+// (in-flight requests, limiter occupancy, queue depth, trace-ring fill)
+// and the process runtime/build-info families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := robust.NewMetrics(0, 0)
-	m.AddTrace(s.tracer)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := m.WritePromWith(w, s.tracer.Histograms()); err != nil {
+	if err := s.tracer.WriteProm(w); err != nil {
 		s.logf("serve: writing /metrics: %v", err)
 		return
 	}
