@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-parallel lint fmt-check selfcheck modelcheck serve-smoke templates bench bench-curve bench-parametric bench-json bench-compare perfbench-test repro coverage clean
+.PHONY: all build vet test test-short race race-parallel lint fmt-check selfcheck modelcheck serve-smoke templates bench bench-curve bench-parametric bench-json bench-compare perfbench-test fuzz-spec repro coverage clean
 
 all: build lint test
 
@@ -111,6 +111,12 @@ bench-compare:
 # yet it compiles against the core, obs and mdcd APIs.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Fuzz the scenario-spec parser for 20 s: template.Parse must never panic
+# and must reject every bad spec with a typed robust.ErrInvariant. The
+# seed corpus alone runs in the plain `go test ./...`.
+fuzz-spec:
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/template
 
 # Regenerate every table/figure report to stdout.
 repro:

@@ -162,11 +162,7 @@ func dump(space *statespace.Space, structures map[string]*reward.Structure) erro
 
 	fmt.Println("activities:")
 	for _, a := range model.Activities() {
-		kind := "timed"
-		if !a.Timed() {
-			kind = "instantaneous"
-		}
-		fmt.Printf("  %-12s %-13s %d case(s)\n", a.Name(), kind, len(a.Cases()))
+		fmt.Printf("  %-12s %-13s %d case(s)\n", a.Name(), "timed", len(a.Cases()))
 	}
 	fmt.Println()
 

@@ -7,11 +7,11 @@
 // reproduction artefact, not an importable dependency):
 //
 //   - internal/sparse, internal/ctmc: the numerical substrate — sparse
-//     linear algebra, uniformization, matrix exponentials, steady-state
-//     and absorbing-chain analysis.
+//     linear algebra, uniformization, matrix exponentials and steady-state
+//     analysis.
 //   - internal/san, internal/statespace, internal/reward: the modelling
-//     substrate — SAN construction, reachability generation with
-//     vanishing-marking elimination, and predicate-rate reward structures.
+//     substrate — SAN construction with timed activities, reachability
+//     generation, and predicate-rate reward structures.
 //   - internal/mdcd: the paper's three SAN reward models (RMGd, RMGp,
 //     RMNd) of the message-driven confidence-driven protocol.
 //   - internal/core: the paper's contribution — the successive model

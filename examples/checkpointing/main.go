@@ -88,7 +88,7 @@ func efficiency(T float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return T * rate, nil
+	return T * rate[0], nil
 }
 
 func main() {

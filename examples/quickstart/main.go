@@ -77,5 +77,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("long-run availability:          %.8f\n", longRun)
+	fmt.Printf("long-run availability:          %.8f\n", longRun[0])
 }

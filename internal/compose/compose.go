@@ -1,7 +1,6 @@
 // Package compose provides UltraSAN-style model composition for stochastic
-// activity networks: Join (combine submodels that share places) and
-// Replicate (instantiate a submodel template N times against a set of
-// shared places).
+// activity networks: Join combines submodels that share places; joining N
+// instances of one template under distinct labels replicates it.
 //
 // Composition works at build time: a Template is a function that adds one
 // submodel's places and activities into a target model under a unique name
@@ -66,19 +65,6 @@ func Join(name string, sharedSpecs []SharedPlaceSpec, parts map[string]Template)
 		return nil, nil, err
 	}
 	return m, shared, nil
-}
-
-// Replicate builds a model with n instances of the same template (prefixes
-// "rep0.", "rep1.", ...) over the shared places.
-func Replicate(name string, n int, sharedSpecs []SharedPlaceSpec, tmpl Template) (*san.Model, Shared, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("compose: replica count %d < 1", n)
-	}
-	parts := make(map[string]Template, n)
-	for i := 0; i < n; i++ {
-		parts[fmt.Sprintf("rep%d", i)] = tmpl
-	}
-	return Join(name, sharedSpecs, parts)
 }
 
 func sortedLabels(parts map[string]Template) []string {

@@ -2,10 +2,10 @@ package compose
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
-	"guardedop/internal/ctmc"
 	"guardedop/internal/reward"
 	"guardedop/internal/san"
 	"guardedop/internal/statespace"
@@ -33,10 +33,20 @@ func machineTemplate(lambda float64) Template {
 	}
 }
 
+// replicate joins n instances of the same template (prefixes "rep0.",
+// "rep1.", ...) over the shared places.
+func replicate(name string, n int, sharedSpecs []SharedPlaceSpec, tmpl Template) (*san.Model, Shared, error) {
+	parts := make(map[string]Template, n)
+	for i := 0; i < n; i++ {
+		parts[fmt.Sprintf("rep%d", i)] = tmpl
+	}
+	return Join(name, sharedSpecs, parts)
+}
+
 func TestReplicateSharedRepair(t *testing.T) {
 	// 2 machines, shared repair queue: this is machine-repairman with a
 	// single repairer of rate mu=2 and per-machine failure rate 0.5.
-	model, _, err := Replicate("repairshop", 2,
+	model, _, err := replicate("repairshop", 2,
 		[]SharedPlaceSpec{{Name: "repairQueue", Initial: 0}},
 		machineTemplate(0.5))
 	if err != nil {
@@ -55,14 +65,11 @@ func TestReplicateSharedRepair(t *testing.T) {
 	// symmetry, and match the birth-death closed form.
 	s0 := reward.NewStructure().Add("up0", func(mk san.Marking) bool { return mk.Get(up0) == 1 }, 1)
 	s1 := reward.NewStructure().Add("up1", func(mk san.Marking) bool { return mk.Get(up1) == 1 }, 1)
-	a0, err := reward.SteadyState(sp, s0)
+	avail, err := reward.SteadyState(sp, s0, s1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := reward.SteadyState(sp, s1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a0, a1 := avail[0], avail[1]
 	if math.Abs(a0-a1) > 1e-10 {
 		t.Errorf("replica asymmetry: %v vs %v", a0, a1)
 	}
@@ -100,22 +107,18 @@ func TestJoinHeterogeneousParts(t *testing.T) {
 	slow := model.PlaceByName("slow.up")
 	sFast := reward.NewStructure().Add("f", func(mk san.Marking) bool { return mk.Get(fast) == 1 }, 1)
 	sSlow := reward.NewStructure().Add("s", func(mk san.Marking) bool { return mk.Get(slow) == 1 }, 1)
-	aFast, err := reward.SteadyState(sp, sFast)
+	avail, err := reward.SteadyState(sp, sFast, sSlow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aSlow, err := reward.SteadyState(sp, sSlow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aFast >= aSlow {
+	if aFast, aSlow := avail[0], avail[1]; aFast >= aSlow {
 		t.Errorf("fast-failing machine more available than slow one: %v vs %v", aFast, aSlow)
 	}
 }
 
 func TestJoinDeterministicStateSpace(t *testing.T) {
 	build := func() int {
-		model, _, err := Replicate("det", 3,
+		model, _, err := replicate("det", 3,
 			[]SharedPlaceSpec{{Name: "repairQueue", Initial: 0}},
 			machineTemplate(0.5))
 		if err != nil {
@@ -149,7 +152,7 @@ func TestComposeDeterminismRegression(t *testing.T) {
 		)
 		switch kind {
 		case "replicate":
-			model, _, err = Replicate("det", 3,
+			model, _, err = replicate("det", 3,
 				[]SharedPlaceSpec{{Name: "repairQueue", Initial: 0}},
 				machineTemplate(0.5))
 		case "join":
@@ -189,9 +192,6 @@ func TestComposeDeterminismRegression(t *testing.T) {
 }
 
 func TestJoinValidation(t *testing.T) {
-	if _, _, err := Replicate("bad", 0, nil, machineTemplate(1)); err == nil {
-		t.Error("replica count 0 accepted")
-	}
 	if _, _, err := Join("bad", nil, map[string]Template{"x": nil}); err == nil {
 		t.Error("nil template accepted")
 	}
@@ -220,7 +220,7 @@ func TestReplicateIndependentReplicasProductForm(t *testing.T) {
 		fail.AddCase(san.ConstProb(1)).AddOutputArc(down, 1)
 		return nil
 	}
-	model, _, err := Replicate("indep", 2, nil, indep)
+	model, _, err := replicate("indep", 2, nil, indep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +231,9 @@ func TestReplicateIndependentReplicasProductForm(t *testing.T) {
 	up0 := model.PlaceByName("rep0.up")
 	up1 := model.PlaceByName("rep1.up")
 	tEnd := 1.7
-	pBoth, err := reward.StateProbability(sp, func(mk san.Marking) bool {
+	pBoth, err := reward.InstantOfTime(sp, reward.NewStructure().Add("both up", func(mk san.Marking) bool {
 		return mk.Get(up0) == 1 && mk.Get(up1) == 1
-	}, tEnd)
+	}, 1), tEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,5 +241,4 @@ func TestReplicateIndependentReplicasProductForm(t *testing.T) {
 	if math.Abs(pBoth-single*single) > 1e-10 {
 		t.Errorf("product form violated: %v vs %v", pBoth, single*single)
 	}
-	_ = ctmc.SteadyStateOptions{} // keep ctmc linked for the solver stack
 }

@@ -22,7 +22,7 @@ func BenchmarkTransientUniformization(b *testing.B) {
 	pi0, _ := c.PointMass(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.TransientUniformization(pi0, 5, UniformizationOptions{}); err != nil {
+		if _, err := c.TransientUniformization(pi0, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkSteadyStateDirect(b *testing.B) {
 	c := benchChain(b, 64, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.SteadyState(SteadyStateOptions{Method: SteadyDirect}); err != nil {
+		if _, err := c.steadyDirect(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkSteadyStateSOR(b *testing.B) {
 	c := benchChain(b, 64, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.SteadyState(SteadyStateOptions{Method: SteadySOR}); err != nil {
+		if _, err := c.steadySOR(); err != nil {
 			b.Fatal(err)
 		}
 	}

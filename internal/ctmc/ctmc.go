@@ -61,16 +61,6 @@ func New(gen *sparse.COO) (*Chain, error) {
 	return &Chain{n: n, gen: csr, q: q}, nil
 }
 
-// MustNew is New but panics on error; intended for tests and for model
-// builders whose generators are correct by construction.
-func MustNew(gen *sparse.COO) *Chain {
-	c, err := New(gen)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // NewUnchecked builds a chain without validating the generator. It exists
 // for callers that deliberately need a malformed chain — above all the
 // static-verifier tests in internal/modelcheck, which must exercise
@@ -97,9 +87,6 @@ func (c *Chain) NumStates() int { return c.n }
 // Generator returns the generator matrix. The caller must not mutate it.
 func (c *Chain) Generator() *sparse.CSR { return c.gen }
 
-// MaxExitRate returns max_i |Q_ii|, the minimal valid uniformization rate.
-func (c *Chain) MaxExitRate() float64 { return c.q }
-
 // IsAbsorbing reports whether state s has no outgoing transitions.
 func (c *Chain) IsAbsorbing(s int) bool {
 	absorbing := true
@@ -123,7 +110,7 @@ func (c *Chain) AbsorbingStates() []int {
 }
 
 // uniformized returns the DTMC transition matrix P = I + Q/q for the given
-// uniformization rate q (which must be >= MaxExitRate and > 0).
+// uniformization rate q (which must be >= max_i |Q_ii| and > 0).
 func (c *Chain) uniformized(q float64) *sparse.CSR {
 	coo := sparse.NewCOO(c.n, c.n)
 	for r := 0; r < c.n; r++ {

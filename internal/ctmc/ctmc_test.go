@@ -107,7 +107,7 @@ func TestTwoStateTransientAnalytic(t *testing.T) {
 	pi0, _ := c.PointMass(0)
 	for _, tt := range []float64{0, 0.01, 0.1, 0.5, 1, 5, 50} {
 		want := a / (a + b) * (1 - math.Exp(-(a+b)*tt))
-		got, err := c.TransientUniformization(pi0, tt, UniformizationOptions{})
+		got, err := c.TransientUniformization(pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestTwoStateAccumulatedAnalytic(t *testing.T) {
 	for _, tt := range []float64{0, 0.2, 1, 4, 20} {
 		s := a + b
 		want := a/s*tt - a/(s*s)*(1-math.Exp(-s*tt))
-		got, err := c.AccumulatedUniformization(pi0, tt, UniformizationOptions{})
+		got, err := c.AccumulatedUniformization(pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestAccumulatedSumsToT(t *testing.T) {
 	c := birthDeath(t, 6, 2.0, 3.0)
 	pi0, _ := c.PointMass(0)
 	for _, tt := range []float64{0.5, 3, 17} {
-		acc, err := c.AccumulatedUniformization(pi0, tt, UniformizationOptions{})
+		acc, err := c.AccumulatedUniformization(pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,14 +174,14 @@ func TestAccumulatedSumsToT(t *testing.T) {
 
 func TestTransientRejectsBadInput(t *testing.T) {
 	c := twoState(t, 1, 1)
-	if _, err := c.TransientUniformization([]float64{1}, 1, UniformizationOptions{}); err == nil {
+	if _, err := c.TransientUniformization([]float64{1}, 1); err == nil {
 		t.Error("accepted wrong-length distribution")
 	}
-	if _, err := c.TransientUniformization([]float64{0.5, 0.4}, 1, UniformizationOptions{}); err == nil {
+	if _, err := c.TransientUniformization([]float64{0.5, 0.4}, 1); err == nil {
 		t.Error("accepted non-normalized distribution")
 	}
 	pi0, _ := c.PointMass(0)
-	if _, err := c.TransientUniformization(pi0, -1, UniformizationOptions{}); err == nil {
+	if _, err := c.TransientUniformization(pi0, -1); err == nil {
 		t.Error("accepted negative time")
 	}
 	if _, err := c.TransientExpm(pi0, math.Inf(1)); err == nil {
@@ -196,14 +196,14 @@ func TestAllAbsorbingChainTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi0 := []float64{0.3, 0.7}
-	got, err := c.TransientUniformization(pi0, 10, UniformizationOptions{})
+	got, err := c.TransientUniformization(pi0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0.3 || got[1] != 0.7 {
 		t.Errorf("frozen chain moved: %v", got)
 	}
-	acc, err := c.AccumulatedUniformization(pi0, 10, UniformizationOptions{})
+	acc, err := c.AccumulatedUniformization(pi0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

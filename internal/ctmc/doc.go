@@ -1,6 +1,7 @@
-// Package ctmc implements continuous-time Markov chain analysis: transient
-// state-probability solution, accumulated (time-integrated) state
-// probabilities, steady-state solution, and absorbing-state analysis.
+// Package ctmc implements the continuous-time Markov chain analyses the
+// guarded-operation reward models need: transient state probabilities,
+// accumulated (time-integrated) state probabilities and the steady-state
+// distribution, plus first-passage analysis as a test oracle.
 //
 // A chain is described by its infinitesimal generator Q (off-diagonal entries
 // are transition rates, diagonal entries make rows sum to zero) and an
@@ -9,10 +10,11 @@
 // # Transient solution
 //
 // Two engines are provided and selected automatically by Transient /
-// TransientAccumulated:
+// Accumulated from the stiffness q·t and the chain size; neither has
+// tunable settings:
 //
 //   - Uniformization (Jensen's method) with Fox–Glynn-style Poisson weight
-//     computation and optional steady-state detection. This is exact up to
+//     computation and steady-state detection. This is exact up to
 //     truncation error and cheap when q·t is moderate, where q is the
 //     uniformization rate (max |Q_ii| padding) and t the horizon.
 //   - Dense matrix exponential via Padé(13) approximation with scaling and
@@ -30,11 +32,7 @@
 // # Steady state
 //
 // SteadyState solves πQ = 0, Σπ = 1 by dense LU for small chains and by
-// SOR/Gauss–Seidel or uniformized power iteration for larger ones.
-//
-// # Absorbing chains
-//
-// AbsorbingAnalysis partitions states into transient and absorbing sets and
-// computes eventual absorption probabilities and the mean time to
-// absorption via the fundamental matrix.
+// Gauss-Seidel sweeps for larger ones. Chains with absorbing states have
+// no absorbing-chain analysis here; their transient and accumulated
+// measures go through the transient engines above.
 package ctmc

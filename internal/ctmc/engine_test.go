@@ -16,10 +16,18 @@ import (
 // steps can explain it — with a typed, classifiable error either way.
 func TestPropagateDriftBudgetScalesWithSteps(t *testing.T) {
 	c := twoState(t, 1.5, 0.5)
+	// propagate is one series step: renormalize, then advance by dt.
+	propagate := func(pi []float64, dt float64, steps int) ([]float64, error) {
+		renorm, err := renormalizeDrift(pi, steps)
+		if err != nil {
+			return nil, err
+		}
+		return c.Transient(renorm, dt)
+	}
 	drifted := []float64{0.7, 0.3 + 3e-6} // mass 1 + 3e-6, past the 1e-6 floor
 
 	// At step zero nothing can explain the drift: typed rejection.
-	if _, err := c.propagate(append([]float64(nil), drifted...), 1, 0); err == nil {
+	if _, err := propagate(append([]float64(nil), drifted...), 1, 0); err == nil {
 		t.Fatal("drift beyond the floor accepted at step 0")
 	} else if !errors.Is(err, robust.ErrNonFinite) {
 		t.Fatalf("drift rejection not classifiable as ErrNonFinite: %v", err)
@@ -27,7 +35,7 @@ func TestPropagateDriftBudgetScalesWithSteps(t *testing.T) {
 
 	// After 3000 incremental steps the same drift is within budget
 	// (1e-6 + 3000·1e-9 = 4e-6): renormalize and keep going.
-	got, err := c.propagate(append([]float64(nil), drifted...), 1, 3000)
+	got, err := propagate(append([]float64(nil), drifted...), 1, 3000)
 	if err != nil {
 		t.Fatalf("round-off drift rejected despite step budget: %v", err)
 	}
@@ -46,7 +54,7 @@ func TestPropagateDriftBudgetScalesWithSteps(t *testing.T) {
 
 	// Destroyed mass is never renormalizable, at any step count.
 	for _, bad := range [][]float64{{math.NaN(), 0.5}, {math.Inf(1), 0.5}, {-0.5, 0.5}} {
-		if _, err := c.propagate(bad, 1, 1e6); !errors.Is(err, robust.ErrNonFinite) {
+		if _, err := propagate(bad, 1, 1e6); !errors.Is(err, robust.ErrNonFinite) {
 			t.Errorf("mass %v: got %v, want ErrNonFinite", bad, err)
 		}
 	}
@@ -188,64 +196,5 @@ func TestSolveOpsSeriesVsPointwise(t *testing.T) {
 	}
 	if pointOps != int64(2*len(ts)) {
 		t.Errorf("point-wise cost %d solver passes, want %d", pointOps, 2*len(ts))
-	}
-}
-
-// monotoneProbes must clamp jittering observations of a non-decreasing
-// function into history-consistent values.
-func TestMonotoneProbesClamp(t *testing.T) {
-	m := newMonotoneProbes()
-	if got := m.clamp(1, 0.5); got != 0.5 {
-		t.Fatalf("first probe altered: %g", got)
-	}
-	// Later time, infinitesimally lower value: clamped up.
-	if got := m.clamp(2, 0.5-1e-12); got != 0.5 {
-		t.Errorf("non-monotone jitter not clamped up: %.15g", got)
-	}
-	// Earlier time, higher value: clamped down to the later observation.
-	if got := m.clamp(0.5, 0.6); got != 0.5 {
-		t.Errorf("non-monotone jitter not clamped down: %.15g", got)
-	}
-	// In-range observations pass through untouched.
-	if got := m.clamp(0.25, 0.3); got != 0.3 {
-		t.Errorf("consistent probe altered: %g", got)
-	}
-	if got := m.clamp(3, 0.8); got != 0.8 {
-		t.Errorf("consistent probe altered: %g", got)
-	}
-}
-
-// A quantile on a near-flat CDF plateau: half the mass absorbs almost
-// instantly, the rest leaks in at 1e-7, so around q=0.5 the CDF is flat to
-// ~8 decimal places and solver jitter dwarfs the local slope. The bisection
-// must still land on the crossing instead of stalling on inconsistent
-// probes.
-func TestAbsorptionTimeQuantileNearFlatPlateau(t *testing.T) {
-	g := sparse.NewCOO(4, 4)
-	g.Add(0, 1, 50) // fast absorption: half the mass
-	g.Add(0, 2, 50) // fast hand-off to the slow branch
-	g.Add(0, 0, -100)
-	g.Add(2, 3, 1e-7) // slow absorption: the plateau
-	g.Add(2, 2, -1e-7)
-	c, err := New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi0, _ := c.PointMass(0)
-	got, err := c.AbsorptionTimeQuantile(pi0, 0.5, 1e-6)
-	if err != nil {
-		t.Fatalf("plateau quantile failed: %v", err)
-	}
-	// Verify against the CDF itself: the returned point must sit at the
-	// crossing — CDF at got reaches 0.5, CDF slightly below does not.
-	cdf, err := c.AbsorptionTimeCDF(pi0, []float64{got * (1 + 1e-5), got * (1 - 1e-2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdf[0] < 0.5-1e-9 {
-		t.Errorf("CDF just above the quantile is %.12f < 0.5", cdf[0])
-	}
-	if cdf[1] >= 0.5 {
-		t.Errorf("CDF well below the quantile already reaches %.12f", cdf[1])
 	}
 }

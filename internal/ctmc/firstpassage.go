@@ -167,17 +167,3 @@ func (c *Chain) MeanFirstPassage(pi0 []float64, targets []int) (meanTime, hitPro
 	}
 	return meanTime, hitProb, nil
 }
-
-// TimeAveragedReward returns the expected time-averaged reward over [0, t]:
-// the accumulated reward divided by the interval length. For t == 0 it
-// returns the instant-of-time reward at 0.
-func (c *Chain) TimeAveragedReward(pi0 []float64, t float64, rates []float64) (float64, error) {
-	if t == 0 {
-		return c.TransientReward(pi0, 0, rates)
-	}
-	acc, err := c.AccumulatedReward(pi0, t, rates)
-	if err != nil {
-		return 0, err
-	}
-	return acc / t, nil
-}

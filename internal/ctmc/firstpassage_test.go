@@ -130,26 +130,3 @@ func TestFirstPassageMatchesRMGdStyleDetection(t *testing.T) {
 		t.Errorf("conditional detection time = %v, want %v", condMean, want)
 	}
 }
-
-func TestTimeAveragedReward(t *testing.T) {
-	a, b := 3.0, 1.0
-	c := twoState(t, a, b)
-	pi0, _ := c.PointMass(0)
-	rates := []float64{0, 1}
-	// Long-run time average tends to the steady-state probability of 1.
-	avg, err := c.TimeAveragedReward(pi0, 10000, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(avg-a/(a+b)) > 1e-3 {
-		t.Errorf("long-run average = %v, want %v", avg, a/(a+b))
-	}
-	// t = 0 falls back to the instant reward.
-	at0, err := c.TimeAveragedReward(pi0, 0, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at0 != 0 {
-		t.Errorf("average at 0 = %v, want 0", at0)
-	}
-}

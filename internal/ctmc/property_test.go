@@ -61,7 +61,7 @@ func TestUniformizationIsStochasticProperty(t *testing.T) {
 		}
 		pi0 := randomDistribution(rng, n)
 		tt := rng.Float64() * 20
-		pi, err := c.TransientUniformization(pi0, tt, UniformizationOptions{})
+		pi, err := c.TransientUniformization(pi0, tt)
 		if err != nil {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestExpmMatchesUniformizationProperty(t *testing.T) {
 		}
 		pi0 := randomDistribution(rng, n)
 		tt := rng.Float64() * 10
-		a, err := c.TransientUniformization(pi0, tt, UniformizationOptions{})
+		a, err := c.TransientUniformization(pi0, tt)
 		if err != nil {
 			return false
 		}
@@ -116,7 +116,7 @@ func TestAccumulatedAgreementProperty(t *testing.T) {
 		}
 		pi0 := randomDistribution(rng, n)
 		tt := rng.Float64() * 8
-		a, err := c.AccumulatedUniformization(pi0, tt, UniformizationOptions{})
+		a, err := c.AccumulatedUniformization(pi0, tt)
 		if err != nil {
 			return false
 		}
@@ -144,7 +144,7 @@ func TestSteadyStateResidualProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pi, err := c.SteadyState(SteadyStateOptions{})
+		pi, err := c.SteadyState()
 		if err != nil {
 			return false
 		}

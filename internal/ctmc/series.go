@@ -122,18 +122,6 @@ func (c *Chain) seriesWalk(ctx context.Context, pi0, ts []float64, wantAcc bool)
 	return pis, accs, nil
 }
 
-// propagate advances a distribution by dt with automatic method selection.
-// Unlike Transient it accepts an already-propagated distribution whose sum
-// may have drifted by round-off over the steps incremental steps taken so
-// far, renormalizing defensively within the step-scaled drift budget.
-func (c *Chain) propagate(pi []float64, dt float64, steps int) ([]float64, error) {
-	renorm, err := renormalizeDrift(pi, steps)
-	if err != nil {
-		return nil, err
-	}
-	return c.Transient(renorm, dt)
-}
-
 // Drift bounds for incrementally propagated distributions. Each solver pass
 // can misplace probability mass only at round-off scale, so the tolerated
 // deviation of the total mass from one grows linearly with the number of

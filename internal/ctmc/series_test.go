@@ -88,7 +88,7 @@ func TestLargeChainAccumulatedUsesUniformization(t *testing.T) {
 	// q*t above the uniformization budget: the n > denseTransientLimit
 	// guard must still pick uniformization (dense expm on 2n x 2n would be
 	// the wrong tool here).
-	tt := (uniformizationBudget + 1e4) / (c.MaxExitRate() * 1.02)
+	tt := (uniformizationBudget + 1e4) / (c.q * 1.02)
 	acc, err := c.Accumulated(pi0, tt)
 	if err != nil {
 		t.Fatal(err)
@@ -102,5 +102,37 @@ func TestLargeChainAccumulatedUsesUniformization(t *testing.T) {
 	}
 	if math.Abs(sparse.Sum(pi)-1) > 1e-9 {
 		t.Errorf("transient mass = %v", sparse.Sum(pi))
+	}
+}
+
+// singleExit builds 0 --rate--> 1 (absorbing): absorption time is
+// exponential(rate).
+func singleExit(t *testing.T, rate float64) *Chain {
+	t.Helper()
+	g := sparse.NewCOO(2, 2)
+	g.Add(0, 1, rate)
+	g.Add(0, 0, -rate)
+	c, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// The absorption-time CDF is the transient mass on the absorbing state.
+func TestAbsorptionTimeCDFExponential(t *testing.T) {
+	rate := 0.3
+	c := singleExit(t, rate)
+	pi0, _ := c.PointMass(0)
+	ts := []float64{0, 1, 5, 10}
+	pis, err := c.TransientSeries(pi0, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tt := range ts {
+		want := 1 - math.Exp(-rate*tt)
+		if math.Abs(pis[i][1]-want) > 1e-10 {
+			t.Errorf("CDF(%v) = %.12f, want %.12f", tt, pis[i][1], want)
+		}
 	}
 }

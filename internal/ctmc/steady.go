@@ -8,33 +8,16 @@ import (
 	"guardedop/internal/sparse"
 )
 
-// SteadyStateOptions tunes the iterative steady-state solvers.
-type SteadyStateOptions struct {
-	// Method selects the solver; default is SteadyAuto.
-	Method SteadyMethod
-	// Tolerance is the L1 convergence threshold for iterative methods
-	// (default 1e-12).
-	Tolerance float64
-	// MaxIterations caps iterative sweeps (default 200000).
-	MaxIterations int
-	// Omega is the SOR relaxation factor (default 1.0 = Gauss-Seidel).
-	Omega float64
-}
-
-// SteadyMethod identifies a steady-state solution algorithm.
-type SteadyMethod int
-
-// Steady-state solver choices.
+// Steady-state solver constants.
 const (
-	SteadyAuto   SteadyMethod = iota // direct for small chains, SOR otherwise
-	SteadyDirect                     // dense LU on the normal equations
-	SteadySOR                        // successive over-relaxation on πQ = 0
-	SteadyPower                      // power iteration on the uniformized DTMC
+	// directSteadyStateLimit is the largest chain solved by dense LU;
+	// larger chains run SOR.
+	directSteadyStateLimit = 512
+	// sorTolerance is the L1 convergence threshold of the SOR sweeps.
+	sorTolerance = 1e-12
+	// sorMaxIterations caps the SOR sweeps.
+	sorMaxIterations = 200000
 )
-
-// directSteadyStateLimit is the largest chain solved by dense LU under
-// SteadyAuto.
-const directSteadyStateLimit = 512
 
 // ErrNotErgodic is returned when an iterative steady-state solver cannot
 // make progress, typically because the chain is reducible. It wraps
@@ -42,45 +25,18 @@ const directSteadyStateLimit = 512
 // taxonomy.
 var ErrNotErgodic = fmt.Errorf("ctmc: steady-state iteration failed to converge (chain may be reducible): %w", robust.ErrNotConverged)
 
-func (o SteadyStateOptions) withDefaults() SteadyStateOptions {
-	if o.Tolerance == 0 {
-		o.Tolerance = 1e-12
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 200000
-	}
-	if o.Omega == 0 {
-		o.Omega = 1.0
-	}
-	return o
-}
-
-// SteadyState solves πQ = 0 with Σπ = 1. The chain must have a unique
-// stationary distribution (one recurrent class); for chains with absorbing
-// states use AbsorbingAnalysis instead.
-func (c *Chain) SteadyState(opts SteadyStateOptions) ([]float64, error) {
-	opts = opts.withDefaults()
+// SteadyState solves πQ = 0 with Σπ = 1 by dense LU for chains of up to
+// directSteadyStateLimit states and by Gauss-Seidel (SOR) sweeps above
+// that. The chain must have a unique stationary distribution (one
+// recurrent class).
+func (c *Chain) SteadyState() ([]float64, error) {
 	if c.n == 0 {
 		return nil, errors.New("ctmc: empty chain")
 	}
-	method := opts.Method
-	if method == SteadyAuto {
-		if c.n <= directSteadyStateLimit {
-			method = SteadyDirect
-		} else {
-			method = SteadySOR
-		}
-	}
-	switch method {
-	case SteadyDirect:
+	if c.n <= directSteadyStateLimit {
 		return c.steadyDirect()
-	case SteadySOR:
-		return c.steadySOR(opts)
-	case SteadyPower:
-		return c.steadyPower(opts)
-	default:
-		return nil, fmt.Errorf("ctmc: unknown steady-state method %d", method)
 	}
+	return c.steadySOR()
 }
 
 // steadyDirect solves the transposed system Qᵀ x = 0 with the last equation
@@ -114,10 +70,9 @@ func (c *Chain) steadyDirect() ([]float64, error) {
 	return x, nil
 }
 
-// steadySOR runs (over-)relaxed Gauss-Seidel sweeps on πQ = 0 using the
-// column-oriented form x_j = (1-ω) x_j − ω (Σ_{i≠j} x_i Q_ij) / Q_jj,
-// renormalizing after every sweep.
-func (c *Chain) steadySOR(opts SteadyStateOptions) ([]float64, error) {
+// steadySOR runs Gauss-Seidel sweeps on πQ = 0 using the column-oriented
+// form x_j = −(Σ_{i≠j} x_i Q_ij) / Q_jj, renormalizing after every sweep.
+func (c *Chain) steadySOR() ([]float64, error) {
 	n := c.n
 	qt := c.gen.Transpose() // row j of qt holds column j of Q
 	diag := make([]float64, n)
@@ -132,7 +87,7 @@ func (c *Chain) steadySOR(opts SteadyStateOptions) ([]float64, error) {
 		x[i] = 1 / float64(n)
 	}
 	prev := make([]float64, n)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < sorMaxIterations; iter++ {
 		copy(prev, x)
 		for j := 0; j < n; j++ {
 			sum := 0.0
@@ -141,8 +96,7 @@ func (c *Chain) steadySOR(opts SteadyStateOptions) ([]float64, error) {
 					sum += x[i] * v
 				}
 			})
-			gs := -sum / diag[j]
-			nx := (1-opts.Omega)*x[j] + opts.Omega*gs
+			nx := -sum / diag[j]
 			if nx < 0 {
 				nx = 0
 			}
@@ -151,38 +105,12 @@ func (c *Chain) steadySOR(opts SteadyStateOptions) ([]float64, error) {
 		if sparse.Normalize(x) == 0 {
 			return nil, ErrNotErgodic
 		}
-		if sparse.L1Dist(x, prev) < opts.Tolerance {
+		if sparse.L1Dist(x, prev) < sorTolerance {
 			if err := robust.CheckFiniteSlice("pi", x); err != nil {
 				return nil, fmt.Errorf("ctmc: SOR steady state: %w", err)
 			}
 			return x, nil
 		}
-	}
-	return nil, ErrNotErgodic
-}
-
-// steadyPower iterates v ← vP on the uniformized DTMC until the iterates
-// stabilise. The rate padding keeps P aperiodic.
-func (c *Chain) steadyPower(opts SteadyStateOptions) ([]float64, error) {
-	if c.q == 0 {
-		return nil, fmt.Errorf("%w: all states absorbing", ErrNotErgodic)
-	}
-	p := c.uniformized(c.q * 1.02)
-	x := make([]float64, c.n)
-	for i := range x {
-		x[i] = 1 / float64(c.n)
-	}
-	next := make([]float64, c.n)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		p.VecMul(next, x)
-		sparse.Normalize(next)
-		if sparse.L1Dist(next, x) < opts.Tolerance {
-			if err := robust.CheckFiniteSlice("pi", next); err != nil {
-				return nil, fmt.Errorf("ctmc: power-iteration steady state: %w", err)
-			}
-			return next, nil
-		}
-		x, next = next, x
 	}
 	return nil, ErrNotErgodic
 }

@@ -9,17 +9,27 @@ import (
 	"guardedop/internal/sparse"
 )
 
+// steadySolvers names both steady-state engines; SteadyState picks one by
+// chain size, so the small test chains call them directly.
+func steadySolvers(c *Chain) map[string]func() ([]float64, error) {
+	return map[string]func() ([]float64, error){
+		"auto":   c.SteadyState,
+		"direct": c.steadyDirect,
+		"sor":    c.steadySOR,
+	}
+}
+
 func TestSteadyStateTwoStateAnalytic(t *testing.T) {
 	a, b := 3.0, 1.0
 	c := twoState(t, a, b)
 	want1 := a / (a + b)
-	for _, m := range []SteadyMethod{SteadyDirect, SteadySOR, SteadyPower} {
-		pi, err := c.SteadyState(SteadyStateOptions{Method: m})
+	for name, solve := range steadySolvers(c) {
+		pi, err := solve()
 		if err != nil {
-			t.Fatalf("method %d: %v", m, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if math.Abs(pi[1]-want1) > 1e-9 {
-			t.Errorf("method %d: pi[1] = %.12f, want %.12f", m, pi[1], want1)
+			t.Errorf("%s: pi[1] = %.12f, want %.12f", name, pi[1], want1)
 		}
 	}
 }
@@ -33,15 +43,15 @@ func TestSteadyStateBirthDeathAnalytic(t *testing.T) {
 	for i := 0; i < n; i++ {
 		norm += math.Pow(rho, float64(i))
 	}
-	for _, m := range []SteadyMethod{SteadyDirect, SteadySOR, SteadyPower} {
-		pi, err := c.SteadyState(SteadyStateOptions{Method: m})
+	for name, solve := range steadySolvers(c) {
+		pi, err := solve()
 		if err != nil {
-			t.Fatalf("method %d: %v", m, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		for i := 0; i < n; i++ {
 			want := math.Pow(rho, float64(i)) / norm
 			if math.Abs(pi[i]-want) > 1e-8 {
-				t.Errorf("method %d: pi[%d] = %.12f, want %.12f", m, i, pi[i], want)
+				t.Errorf("%s: pi[%d] = %.12f, want %.12f", name, i, pi[i], want)
 			}
 		}
 	}
@@ -55,37 +65,39 @@ func TestSteadyStateSORRejectsAbsorbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SteadyState(SteadyStateOptions{Method: SteadySOR}); !errors.Is(err, ErrNotErgodic) {
+	if _, err := c.steadySOR(); !errors.Is(err, ErrNotErgodic) {
 		t.Errorf("err = %v, want ErrNotErgodic", err)
 	}
 }
 
 func TestSteadyStateRewardMatchesManual(t *testing.T) {
 	c := twoState(t, 1, 1)
-	r, err := c.SteadyStateReward([]float64{0, 2}, SteadyStateOptions{})
+	r, err := c.SteadyStateRewards([]float64{0, 2}, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r-1) > 1e-10 {
-		t.Errorf("steady reward = %v, want 1", r)
+	if len(r) != 2 || math.Abs(r[0]-1) > 1e-10 || math.Abs(r[1]-1) > 1e-10 {
+		t.Errorf("steady rewards = %v, want [1 1]", r)
 	}
-	if _, err := c.SteadyStateReward([]float64{1}, SteadyStateOptions{}); err == nil {
+	if _, err := c.SteadyStateRewards([]float64{0, 2}, []float64{1}); err == nil {
 		t.Error("accepted wrong-length reward vector")
 	}
 }
 
+// The SOR sweeps (relaxation factor 1, i.e. Gauss-Seidel) that solve
+// chains above directSteadyStateLimit must agree with the direct solve.
 func TestSORWithRelaxation(t *testing.T) {
 	c := birthDeath(t, 10, 1.0, 2.0)
-	pi, err := c.SteadyState(SteadyStateOptions{Method: SteadySOR, Omega: 1.2})
+	pi, err := c.steadySOR()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := c.SteadyState(SteadyStateOptions{Method: SteadyDirect})
+	ref, err := c.steadyDirect()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sparse.L1Dist(pi, ref) > 1e-8 {
-		t.Errorf("SOR(1.2) differs from direct by %g", sparse.L1Dist(pi, ref))
+		t.Errorf("SOR differs from direct by %g", sparse.L1Dist(pi, ref))
 	}
 }
 
@@ -100,23 +112,25 @@ func TestAbsorbingAnalysisCompetingRisks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abs, err := c.AbsorbingAnalysis()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Absorption probabilities and times are first-passage quantities
+	// into the absorbing states.
 	pi0, _ := c.PointMass(0)
-	p1, err := abs.AbsorptionProbability(pi0, 1)
+	if got := c.AbsorbingStates(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("absorbing states = %v, want [1 2]", got)
+	}
+	_, p1, err := c.MeanFirstPassage(pi0, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(p1-a/(a+b)) > 1e-12 {
 		t.Errorf("P(absorb in 1) = %v, want %v", p1, a/(a+b))
 	}
-	if mt := abs.ExpectedTimeToAbsorption(pi0); math.Abs(mt-1/(a+b)) > 1e-12 {
-		t.Errorf("mean time = %v, want %v", mt, 1/(a+b))
+	mt, p, err := c.MeanFirstPassage(pi0, c.AbsorbingStates())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := abs.AbsorptionProbability(pi0, 0); err == nil {
-		t.Error("AbsorptionProbability accepted non-absorbing state")
+	if math.Abs(mt-1/(a+b)) > 1e-12 || math.Abs(p-1) > 1e-12 {
+		t.Errorf("mean time = %v (P = %v), want %v (1)", mt, p, 1/(a+b))
 	}
 }
 
@@ -132,35 +146,24 @@ func TestAbsorbingAnalysisTandem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abs, err := c.AbsorbingAnalysis()
-	if err != nil {
-		t.Fatal(err)
-	}
 	pi0, _ := c.PointMass(0)
-	if mt := abs.ExpectedTimeToAbsorption(pi0); math.Abs(mt-(1/r0+1/r1)) > 1e-12 {
-		t.Errorf("mean time = %v, want %v", mt, 1/r0+1/r1)
-	}
-	p, err := abs.AbsorptionProbability(pi0, 2)
+	mt, p, err := c.MeanFirstPassage(pi0, []int{2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if math.Abs(mt-(1/r0+1/r1)) > 1e-12 {
+		t.Errorf("mean time = %v, want %v", mt, 1/r0+1/r1)
 	}
 	if math.Abs(p-1) > 1e-12 {
 		t.Errorf("P(absorb) = %v, want 1", p)
 	}
-	// Mass already on the absorbing state counts as absorbed.
-	p2, err := abs.AbsorptionProbability([]float64{0, 0, 1}, 2)
+	// Mass already on the absorbing state counts as absorbed at time 0.
+	mt2, p2, err := c.MeanFirstPassage([]float64{0, 0, 1}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 != 1 {
-		t.Errorf("P(absorb | start absorbed) = %v, want 1", p2)
-	}
-}
-
-func TestAbsorbingAnalysisNoAbsorbing(t *testing.T) {
-	c := twoState(t, 1, 1)
-	if _, err := c.AbsorbingAnalysis(); err == nil {
-		t.Error("AbsorbingAnalysis accepted chain with no absorbing states")
+	if p2 != 1 || mt2 != 0 {
+		t.Errorf("start absorbed: P = %v, time = %v, want 1, 0", p2, mt2)
 	}
 }
 
@@ -190,51 +193,10 @@ func TestTransientAndAccumulatedRewards(t *testing.T) {
 	}
 }
 
-func TestAccumulatedUntilAbsorption(t *testing.T) {
-	// 0 -> 1 -> 2 (absorbing): expected time in 0 is 1/r0, in 1 is 1/r1.
-	r0, r1 := 2.0, 5.0
-	g := sparse.NewCOO(3, 3)
-	g.Add(0, 1, r0)
-	g.Add(0, 0, -r0)
-	g.Add(1, 2, r1)
-	g.Add(1, 1, -r1)
-	c, err := New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi0, _ := c.PointMass(0)
-	// Reward 1 in state 1 only: expected total = 1/r1.
-	got, err := c.AccumulatedUntilAbsorption(pi0, []float64{0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1/r1) > 1e-12 {
-		t.Errorf("reward until absorption = %v, want %v", got, 1/r1)
-	}
-	// Reward 1 everywhere: total lifetime 1/r0 + 1/r1.
-	got, err = c.AccumulatedUntilAbsorption(pi0, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-(1/r0+1/r1)) > 1e-12 {
-		t.Errorf("lifetime = %v, want %v", got, 1/r0+1/r1)
-	}
-	// Mass on the absorbing state earns nothing.
-	got, err = c.AccumulatedUntilAbsorption([]float64{0, 0, 1}, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("absorbed start earned %v", got)
-	}
-	if _, err := c.AccumulatedUntilAbsorption(pi0, []float64{1}); err == nil {
-		t.Error("short reward vector accepted")
-	}
-}
-
 func TestAccumulatedUntilAbsorptionMatchesLongHorizon(t *testing.T) {
 	// For an absorbing chain, reward until absorption equals the t->inf
-	// limit of the accumulated interval reward.
+	// limit of the accumulated interval reward. Here the chain spends
+	// 1/mu in state 0 and 1/lambda in state 1 before absorbing.
 	mu, lambda := 1e-2, 5.0
 	g := sparse.NewCOO(3, 3)
 	g.Add(0, 1, mu)
@@ -247,10 +209,7 @@ func TestAccumulatedUntilAbsorptionMatchesLongHorizon(t *testing.T) {
 	}
 	pi0, _ := c.PointMass(0)
 	rates := []float64{1, 0.5, 0}
-	exact, err := c.AccumulatedUntilAbsorption(pi0, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := rates[0]/mu + rates[1]/lambda
 	longRun, err := c.AccumulatedReward(pi0, 5000, rates)
 	if err != nil {
 		t.Fatal(err)

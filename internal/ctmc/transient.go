@@ -27,7 +27,7 @@ func (c *Chain) Transient(pi0 []float64, t float64) ([]float64, error) {
 // batch layers attribute the cost to the right run.
 func (c *Chain) TransientContext(ctx context.Context, pi0 []float64, t float64) ([]float64, error) {
 	if c.q*t <= uniformizationBudget || c.n > denseTransientLimit {
-		pi, _, err := c.uniformize(ctx, pi0, t, UniformizationOptions{}, false)
+		pi, _, err := c.uniformize(ctx, pi0, t, false)
 		return pi, err
 	}
 	return c.transientExpm(ctx, pi0, t)
@@ -42,7 +42,7 @@ func (c *Chain) Accumulated(pi0 []float64, t float64) ([]float64, error) {
 // AccumulatedContext is Accumulated under a caller-carried context.
 func (c *Chain) AccumulatedContext(ctx context.Context, pi0 []float64, t float64) ([]float64, error) {
 	if c.q*t <= uniformizationBudget || c.n > denseTransientLimit {
-		_, acc, err := c.uniformize(ctx, pi0, t, UniformizationOptions{}, true)
+		_, acc, err := c.uniformize(ctx, pi0, t, true)
 		return acc, err
 	}
 	_, acc, err := c.transientAccumulatedExpm(ctx, pi0, t)
@@ -57,7 +57,7 @@ func (c *Chain) AccumulatedContext(ctx context.Context, pi0 []float64, t float64
 // (the curve engine's per-gap workload).
 func (c *Chain) transientAccumulated(ctx context.Context, pi0 []float64, t float64) (pi, acc []float64, err error) {
 	if c.q*t <= uniformizationBudget || c.n > denseTransientLimit {
-		return c.uniformize(ctx, pi0, t, UniformizationOptions{}, true)
+		return c.uniformize(ctx, pi0, t, true)
 	}
 	return c.transientAccumulatedExpm(ctx, pi0, t)
 }
@@ -93,13 +93,24 @@ func (c *Chain) AccumulatedRewardContext(ctx context.Context, pi0 []float64, t f
 	return dotChecked(rates, acc)
 }
 
-// SteadyStateReward returns Σ_s rates[s]·π_s for the stationary distribution.
-func (c *Chain) SteadyStateReward(rates []float64, opts SteadyStateOptions) (float64, error) {
-	pi, err := c.SteadyState(opts)
+// SteadyStateRewards returns Σ_s r[s]·π_s for each rate-reward vector r in
+// rates, against one solve of the stationary distribution π.
+func (c *Chain) SteadyStateRewards(rates ...[]float64) ([]float64, error) {
+	pi, err := c.SteadyState()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return dotChecked(rates, pi)
+	out := make([]float64, len(rates))
+	for i, r := range rates {
+		if out[i], err = dotChecked(r, pi); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func errRewardLength(got, want int) error {
+	return fmt.Errorf("ctmc: reward vector has length %d, want %d", got, want)
 }
 
 func dotChecked(rates, pi []float64) (float64, error) {

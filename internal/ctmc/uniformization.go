@@ -10,62 +10,26 @@ import (
 	"guardedop/internal/sparse"
 )
 
-// UniformizationOptions tunes the uniformization transient solver.
-type UniformizationOptions struct {
-	// Epsilon is the permitted Poisson truncation error (default 1e-12).
-	Epsilon float64
-	// RatePadding multiplies the uniformization rate above max|Q_ii| to keep
-	// the DTMC aperiodic; default 1.02.
-	RatePadding float64
-	// SteadyStateDetection stops the vector iteration once successive DTMC
-	// iterates differ by less than SteadyStateTol in L1, folding the
-	// remaining Poisson mass onto the converged vector. Default on.
-	DisableSteadyStateDetection bool
-	// SteadyStateTol is the detection threshold (default 1e-14).
-	SteadyStateTol float64
-	// MaxIterations caps the number of matrix-vector products; 0 means
-	// a generous default derived from the Poisson window.
-	MaxIterations int
-}
-
-// withDefaults resolves zero values and rejects degenerate settings.
-// Every field is validated, not just defaulted: a negative RatePadding
-// used to produce q < 0 and silently build a garbage uniformized DTMC,
-// and a negative SteadyStateTol silently disabled steady-state detection
-// (no iterate distance is < 0). Both now fail loudly as invariant
-// violations instead of corrupting or degrading the solve.
-func (o UniformizationOptions) withDefaults() (UniformizationOptions, error) {
-	if o.Epsilon == 0 {
-		o.Epsilon = 1e-12
-	}
-	if math.IsNaN(o.Epsilon) || o.Epsilon < 0 || o.Epsilon >= 1 {
-		return o, fmt.Errorf("ctmc: uniformization Epsilon %g outside (0, 1): %w", o.Epsilon, robust.ErrInvariant)
-	}
-	if o.RatePadding == 0 {
-		o.RatePadding = 1.02
-	}
-	// Padding below 1 is as broken as a negative value: q then undercuts
-	// max|Q_ii| and the uniformized DTMC picks up negative diagonals.
-	if math.IsNaN(o.RatePadding) || o.RatePadding < 1 {
-		return o, fmt.Errorf("ctmc: uniformization RatePadding %g must be >= 1: %w", o.RatePadding, robust.ErrInvariant)
-	}
-	if o.SteadyStateTol == 0 {
-		o.SteadyStateTol = 1e-14
-	}
-	if math.IsNaN(o.SteadyStateTol) || o.SteadyStateTol < 0 {
-		return o, fmt.Errorf("ctmc: uniformization SteadyStateTol %g must be >= 0: %w", o.SteadyStateTol, robust.ErrInvariant)
-	}
-	if o.MaxIterations < 0 {
-		return o, fmt.Errorf("ctmc: uniformization MaxIterations %d must be >= 0: %w", o.MaxIterations, robust.ErrInvariant)
-	}
-	return o, nil
-}
+// Uniformization constants.
+const (
+	// uniformEpsilon is the permitted Poisson truncation error.
+	uniformEpsilon = 1e-12
+	// uniformRatePadding multiplies the uniformization rate above
+	// max|Q_ii| to keep the DTMC aperiodic.
+	uniformRatePadding = 1.02
+	// uniformSteadyTol is the steady-state detection threshold: the
+	// vector iteration stops once successive DTMC iterates differ by less
+	// than this in L1, folding the remaining Poisson mass onto the
+	// converged vector.
+	uniformSteadyTol = 1e-14
+)
 
 // TransientUniformization computes the state-probability vector π(t) from
 // initial distribution pi0 by uniformization. It also works for t == 0
-// (returning a copy of pi0).
-func (c *Chain) TransientUniformization(pi0 []float64, t float64, opts UniformizationOptions) ([]float64, error) {
-	pi, _, err := c.uniformize(context.Background(), pi0, t, opts, false)
+// (returning a copy of pi0). Transient selects this engine automatically
+// for moderate q·t; this entry point forces it.
+func (c *Chain) TransientUniformization(pi0 []float64, t float64) ([]float64, error) {
+	pi, _, err := c.uniformize(context.Background(), pi0, t, false)
 	return pi, err
 }
 
@@ -76,8 +40,8 @@ func (c *Chain) TransientUniformization(pi0 []float64, t float64, opts Uniformiz
 //	L(t) = (1/q) Σ_k (1 − F(k; qt)) · π₀ Pᵏ
 //
 // where F is the Poisson CDF and P the uniformized DTMC matrix.
-func (c *Chain) AccumulatedUniformization(pi0 []float64, t float64, opts UniformizationOptions) ([]float64, error) {
-	_, acc, err := c.uniformize(context.Background(), pi0, t, opts, true)
+func (c *Chain) AccumulatedUniformization(pi0 []float64, t float64) ([]float64, error) {
+	_, acc, err := c.uniformize(context.Background(), pi0, t, true)
 	return acc, err
 }
 
@@ -87,7 +51,7 @@ func (c *Chain) AccumulatedUniformization(pi0 []float64, t float64, opts Uniform
 // scope and, when a tracer is attached, emits one "ctmc.uniformize" span
 // annotated with the state count, the Poisson truncation point, and the
 // number of vector iterations actually spent.
-func (c *Chain) uniformize(ctx context.Context, pi0 []float64, t float64, opts UniformizationOptions, wantAccumulated bool) ([]float64, []float64, error) {
+func (c *Chain) uniformize(ctx context.Context, pi0 []float64, t float64, wantAccumulated bool) ([]float64, []float64, error) {
 	if err := c.checkDistribution(pi0); err != nil {
 		return nil, nil, err
 	}
@@ -101,17 +65,13 @@ func (c *Chain) uniformize(ctx context.Context, pi0 []float64, t float64, opts U
 	sp.SetFloat("t", t)
 	iterations := 0
 	defer func() { sp.SetInt("iterations", int64(iterations)) }()
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
 
 	pi := append([]float64(nil), pi0...)
 	acc := make([]float64, c.n)
 	if t == 0 {
 		return pi, acc, nil
 	}
-	q := c.q * opts.RatePadding
+	q := c.q * uniformRatePadding
 	if q == 0 {
 		// All states absorbing: distribution never moves.
 		if wantAccumulated {
@@ -122,15 +82,11 @@ func (c *Chain) uniformize(ctx context.Context, pi0 []float64, t float64, opts U
 		return pi, acc, nil
 	}
 
-	win, err := newPoissonWindow(q*t, opts.Epsilon)
+	win, err := newPoissonWindow(q*t, uniformEpsilon)
 	if err != nil {
 		return nil, nil, err
 	}
 	sp.SetInt("poisson_right", int64(win.Right))
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = win.Right + 2
-	}
 
 	p := c.uniformized(q)
 	v := append([]float64(nil), pi0...) // v_k = pi0 * P^k
@@ -156,32 +112,21 @@ func (c *Chain) uniformize(ctx context.Context, pi0 []float64, t float64, opts U
 		if k >= win.Right {
 			break
 		}
-		// The cap is on matrix-vector products (the doc contract), so it is
-		// checked against the product count immediately before the product.
-		// Checking k after the window break made the guard dead under
-		// defaults: maxIter = win.Right + 2 could never be reached once the
-		// loop broke at k >= win.Right.
-		if iterations >= maxIter {
-			return nil, nil, fmt.Errorf("ctmc: uniformization exceeded %d matrix-vector products (qt=%g): %w",
-				maxIter, q*t, robust.ErrNotConverged)
-		}
 		p.VecMul(next, v)
 		iterations++
-		if !opts.DisableSteadyStateDetection {
-			if sparse.L1Dist(next, v) < opts.SteadyStateTol {
-				sp.Event("steady_state_detected")
-				// The DTMC iterates have converged; fold all remaining
-				// Poisson mass (and accumulated weight) onto v.
-				sparse.Axpy(out, 1-cdf, next)
-				if wantAccumulated {
-					rem := t - accWeight
-					if rem > 0 {
-						sparse.Axpy(acc, rem, next)
-					}
+		if sparse.L1Dist(next, v) < uniformSteadyTol {
+			sp.Event("steady_state_detected")
+			// The DTMC iterates have converged; fold all remaining
+			// Poisson mass (and accumulated weight) onto v.
+			sparse.Axpy(out, 1-cdf, next)
+			if wantAccumulated {
+				rem := t - accWeight
+				if rem > 0 {
+					sparse.Axpy(acc, rem, next)
 				}
-				copy(pi, out)
-				return pi, acc, checkUniformized(pi, acc, wantAccumulated)
 			}
+			copy(pi, out)
+			return pi, acc, checkUniformized(pi, acc, wantAccumulated)
 		}
 		v, next = next, v
 	}

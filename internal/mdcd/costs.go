@@ -25,9 +25,10 @@ type SafeguardRates struct {
 // Total returns the combined safeguard operation rate.
 func (s SafeguardRates) Total() float64 { return s.P1nAT + s.P2AT + s.P2Ckpt + s.P1oCkpt }
 
-// SafeguardRates solves the long-run safeguard frequencies. Completion of
-// an operation is the final Erlang stage: the impulse is gated on the
-// in-progress place holding exactly one remaining stage token.
+// SafeguardRates solves the long-run safeguard frequencies from one
+// steady-state solve of the chain. Completion of an operation is the final
+// Erlang stage: the impulse is gated on the in-progress place holding
+// exactly one remaining stage token.
 func (r *RMGp) SafeguardRates() (SafeguardRates, error) {
 	lastStage := func(pl interface{ Index() int }) func(int, *statespace.Space) bool {
 		return func(stateIdx int, sp *statespace.Space) bool {
@@ -35,7 +36,7 @@ func (r *RMGp) SafeguardRates() (SafeguardRates, error) {
 		}
 	}
 	var out SafeguardRates
-	for _, item := range []struct {
+	items := []struct {
 		activity string
 		place    interface{ Index() int }
 		dst      *float64
@@ -44,13 +45,17 @@ func (r *RMGp) SafeguardRates() (SafeguardRates, error) {
 		{"P2AT", r.P2Ext, &out.P2AT},
 		{"P2_CKPT", r.P1nInt, &out.P2Ckpt},
 		{"P1o_CKPT", r.P1oCheck, &out.P1oCkpt},
-	} {
-		is := reward.NewImpulseStructure().AddWhen(item.activity, 1, lastStage(item.place))
-		rate, err := reward.SteadyStateImpulseRate(r.Space, is)
-		if err != nil {
-			return SafeguardRates{}, err
-		}
-		*item.dst = rate
+	}
+	structs := make([]*reward.ImpulseStructure, len(items))
+	for i, item := range items {
+		structs[i] = reward.NewImpulseStructure().AddWhen(item.activity, 1, lastStage(item.place))
+	}
+	rates, err := reward.SteadyStateImpulseRate(r.Space, structs...)
+	if err != nil {
+		return SafeguardRates{}, err
+	}
+	for i, item := range items {
+		*item.dst = rates[i]
 	}
 	return out, nil
 }

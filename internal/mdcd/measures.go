@@ -116,7 +116,7 @@ func (r *RMGd) Table1Structures() map[string]*reward.Structure {
 // Measures solves all Table 1 constituent measures at G-OP duration phi,
 // one full transient or accumulated solve per measure against the reward
 // vectors prebuilt at model construction. This is the point-wise reference
-// path; φ-grids should use MeasuresSeries, which shares a single
+// path; φ-grids should use MeasuresSeriesContext, which shares a single
 // incremental propagation across the whole grid.
 func (r *RMGd) Measures(phi float64) (GdMeasures, error) {
 	return r.MeasuresContext(context.Background(), phi)
@@ -192,17 +192,12 @@ func (r *RMGd) MeasuresFromSolution(phi float64, pi, acc []float64) (GdMeasures,
 	return out, nil
 }
 
-// MeasuresSeries solves the Table 1 measures for every duration in phis
-// (unsorted input is aligned with the output) with one shared incremental
-// propagation: a single combined transient+accumulated solver pass per gap
-// of the sorted grid serves all six measures of every point, instead of the
-// six independent full-horizon solves Measures spends per φ.
-func (r *RMGd) MeasuresSeries(phis []float64) ([]GdMeasures, error) {
-	return r.MeasuresSeriesContext(context.Background(), phis)
-}
-
-// MeasuresSeriesContext is MeasuresSeries under a caller-carried context:
-// the shared propagation runs inside one "mdcd.RMGd.measures_series" span.
+// MeasuresSeriesContext solves the Table 1 measures for every duration in
+// phis (unsorted input is aligned with the output) with one shared
+// incremental propagation: a single combined transient+accumulated solver
+// pass per gap of the sorted grid serves all six measures of every point,
+// instead of the six independent full-horizon solves Measures spends per
+// φ. The propagation runs inside one "mdcd.RMGd.measures_series" span.
 func (r *RMGd) MeasuresSeriesContext(ctx context.Context, phis []float64) ([]GdMeasures, error) {
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMGd.measures_series")
 	defer sp.End()
@@ -272,15 +267,12 @@ func (r *RMGp) Overhead1Structure() *reward.Structure { return r.structOverhead1
 // Overhead2Structure returns the Table 2 reward structure for 1-ρ₂.
 func (r *RMGp) Overhead2Structure() *reward.Structure { return r.structOverhead2() }
 
-// Measures solves the Table 2 steady-state overhead measures.
+// Measures solves the Table 2 steady-state overhead measures from one
+// steady-state solve of the chain.
 func (r *RMGp) Measures() (GpMeasures, error) {
-	oh1, err := reward.SteadyState(r.Space, r.structOverhead1())
+	oh, err := reward.SteadyState(r.Space, r.structOverhead1(), r.structOverhead2())
 	if err != nil {
 		return GpMeasures{}, err
 	}
-	oh2, err := reward.SteadyState(r.Space, r.structOverhead2())
-	if err != nil {
-		return GpMeasures{}, err
-	}
-	return GpMeasures{Rho1: 1 - oh1, Rho2: 1 - oh2}, nil
+	return GpMeasures{Rho1: 1 - oh[0], Rho2: 1 - oh[1]}, nil
 }

@@ -119,42 +119,8 @@ func (r *RMNd) NoFailureProbabilityContext(ctx context.Context, t float64) (floa
 	return r.Space.Chain.TransientRewardContext(ctx, r.Space.Initial, t, r.noFailRates)
 }
 
-// NoFailureFromSolution reads P(no failure) off an already-solved
-// state-probability vector of this model's chain: a dot product against
-// the indicator prebuilt at construction, no solver work.
-func (r *RMNd) NoFailureFromSolution(pi []float64) (float64, error) {
-	return dotReward("P(no failure)", r.noFailRates, pi)
-}
-
 // NoFailureRates returns the MARK(failure)==0 indicator vector prebuilt
 // at construction, for assemblers outside the package (the parametric
 // layer). The returned slice is the model's backing array; callers must
 // not modify it.
 func (r *RMNd) NoFailureRates() []float64 { return r.noFailRates }
-
-// NoFailureProbabilitySeries returns P(no failure by t) for every horizon
-// in ts (unsorted input is aligned with the output), sharing one
-// incremental propagation across the grid: one solver pass per gap instead
-// of one full solve per horizon.
-func (r *RMNd) NoFailureProbabilitySeries(ts []float64) ([]float64, error) {
-	return r.NoFailureProbabilitySeriesContext(context.Background(), ts)
-}
-
-// NoFailureProbabilitySeriesContext is NoFailureProbabilitySeries under a
-// caller-carried context.
-func (r *RMNd) NoFailureProbabilitySeriesContext(ctx context.Context, ts []float64) ([]float64, error) {
-	ctx, sp := obs.StartSpan(ctx, "mdcd.RMNd.no_failure_series")
-	defer sp.End()
-	sp.SetInt("points", int64(len(ts)))
-	pis, err := r.Space.Chain.TransientSeriesContext(ctx, r.Space.Initial, ts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(ts))
-	for i, pi := range pis {
-		if out[i], err = dotReward("P(no failure)", r.noFailRates, pi); err != nil {
-			return nil, fmt.Errorf("mdcd: no-failure probability at t=%g: %w", ts[i], err)
-		}
-	}
-	return out, nil
-}

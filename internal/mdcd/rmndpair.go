@@ -67,31 +67,11 @@ func NewRMNdPair(first, second *RMNd) (*RMNdPair, error) {
 	return p, nil
 }
 
-// NoFailure returns both models' P(no failure by t) from one solver pass.
-func (p *RMNdPair) NoFailure(t float64) (first, second float64, err error) {
-	return p.NoFailureContext(context.Background(), t)
-}
-
-// NoFailureContext is NoFailure under a caller-carried context.
-func (p *RMNdPair) NoFailureContext(ctx context.Context, t float64) (first, second float64, err error) {
-	fs, ss, err := p.NoFailureSeriesContext(ctx, []float64{t})
-	if err != nil {
-		return 0, 0, err
-	}
-	return fs[0], ss[0], nil
-}
-
-// NoFailureSeries returns both models' P(no failure by t) for every horizon
-// in ts (unsorted input is aligned with the outputs), costing one shared
-// incremental solver pass per gap of the sorted grid for the pair — half
-// the passes of running the two models' series separately, a quarter of
-// point-wise evaluation.
-func (p *RMNdPair) NoFailureSeries(ts []float64) (first, second []float64, err error) {
-	return p.NoFailureSeriesContext(context.Background(), ts)
-}
-
-// NoFailureSeriesContext is NoFailureSeries under a caller-carried context:
-// the stacked-pair propagation runs inside one
+// NoFailureSeriesContext returns both models' P(no failure by t) for every
+// horizon in ts (unsorted input is aligned with the outputs), costing one
+// shared incremental solver pass per gap of the sorted grid for the pair —
+// half the passes of running the two models' series separately, a quarter
+// of point-wise evaluation. The stacked-pair propagation runs inside one
 // "mdcd.RMNdPair.no_failure_series" span.
 func (p *RMNdPair) NoFailureSeriesContext(ctx context.Context, ts []float64) (first, second []float64, err error) {
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMNdPair.no_failure_series")

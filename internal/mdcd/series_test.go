@@ -1,6 +1,7 @@
 package mdcd
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestRMGdMeasuresSeriesMatchesPointwise(t *testing.T) {
 	phis := []float64{
 		7000, 1000, 0, 4000, 10000, 7000, 250, // unsorted, dup, endpoints
 	}
-	series, err := gd.MeasuresSeries(phis)
+	series, err := gd.MeasuresSeriesContext(context.Background(), phis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +65,23 @@ func TestRMGdMeasuresSeriesMatchesPointwise(t *testing.T) {
 	}
 }
 
+// noFailureSeries reads P(no failure by t) for every horizon in ts off one
+// shared series propagation of the model's chain.
+func noFailureSeries(t *testing.T, nd *RMNd, ts []float64) []float64 {
+	t.Helper()
+	pis, err := nd.Space.Chain.TransientSeries(nd.Space.Initial, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(ts))
+	for i, pi := range pis {
+		if out[i], err = dotReward("P(no failure)", nd.noFailRates, pi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func TestRMNdNoFailureSeriesMatchesPointwise(t *testing.T) {
 	p := DefaultParams()
 	for _, mu1 := range []float64{p.MuNew, p.MuOld} {
@@ -72,10 +90,7 @@ func TestRMNdNoFailureSeriesMatchesPointwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := []float64{12000, 3000, 0, 20000, 12000}
-		series, err := nd.NoFailureProbabilitySeries(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		series := noFailureSeries(t, nd, ts)
 		for i, tt := range ts {
 			want, err := nd.NoFailureProbability(tt)
 			if err != nil {
@@ -108,7 +123,7 @@ func TestRMNdPairMatchesSeparateModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := []float64{8000, 1000, 0, 20000, 8000}
-	first, second, err := pair.NoFailureSeries(ts)
+	first, second, err := pair.NoFailureSeriesContext(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +142,12 @@ func TestRMNdPairMatchesSeparateModels(t *testing.T) {
 	// The single-point call solves its horizon in one gap while the series
 	// propagated through intermediate points, so agreement is numerical,
 	// not bit-wise.
-	f1, s1, err := pair.NoFailure(8000)
+	f1, s1, err := pair.NoFailureSeriesContext(context.Background(), []float64{8000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relClose(t, "single-point NoFailure (new)", f1, first[0], 1e-9)
-	relClose(t, "single-point NoFailure (old)", s1, second[0], 1e-9)
+	relClose(t, "single-point NoFailure (new)", f1[0], first[0], 1e-9)
+	relClose(t, "single-point NoFailure (old)", s1[0], second[0], 1e-9)
 }
 
 func TestRMNdPairValidation(t *testing.T) {

@@ -8,8 +8,7 @@
 // (absorbing states reachable for first-passage quantities, a single
 // closed communicating class for steady-state quantities), and the reward
 // structures must keep Y(φ) an expectation ratio (finite rates within
-// their documented bounds, non-negative impulses — the preconditions of
-// the paper's Eq. 1).
+// their documented bounds — the preconditions of the paper's Eq. 1).
 //
 // ctmc.New already rejects malformed generators at construction time;
 // modelcheck re-derives the same properties independently from the stored

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"guardedop/internal/reward"
 )
 
 // Report is the outcome of verifying one model.
@@ -133,23 +131,6 @@ func (r *Report) CheckRewardRates(name string, rates []float64, lo, hi float64) 
 		case v < lo || v > hi:
 			r.add(Issue{Check: "reward-bounds", Severity: SevError,
 				Detail: fmt.Sprintf("reward %q rate[%d] = %g outside [%g, %g]", name, i, v, lo, hi)})
-		}
-	}
-}
-
-// CheckImpulses verifies an impulse-reward structure: impulses must be
-// finite and non-negative (a negative event reward would let accumulated
-// work decrease on a completion, breaking the monotonicity E[W] proofs
-// rely on).
-func (r *Report) CheckImpulses(name string, s *reward.ImpulseStructure) {
-	r.ran("impulse-finite", "impulse-negative")
-	for _, item := range s.Items() {
-		if math.IsNaN(item.Impulse) || math.IsInf(item.Impulse, 0) {
-			r.add(Issue{Check: "impulse-finite", Severity: SevError,
-				Detail: fmt.Sprintf("impulse structure %q: activity %q has impulse %g", name, item.Activity, item.Impulse)})
-		} else if item.Impulse < 0 {
-			r.add(Issue{Check: "impulse-negative", Severity: SevError,
-				Detail: fmt.Sprintf("impulse structure %q: activity %q has impulse %g", name, item.Activity, item.Impulse)})
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package parametric
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -33,6 +34,23 @@ func buildModels(t *testing.T, p mdcd.Params) (*mdcd.RMGd, *mdcd.RMNd, *mdcd.RMN
 	return gd, ndNew, ndOld
 }
 
+// noFailureSeries reads P(no failure by t) for every horizon in ts off one
+// shared series propagation of the model's chain.
+func noFailureSeries(t *testing.T, nd *mdcd.RMNd, ts []float64) []float64 {
+	t.Helper()
+	pis, err := nd.Space.Chain.TransientSeries(nd.Space.Initial, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(ts))
+	for i, pi := range pis {
+		for s, r := range nd.NoFailureRates() {
+			out[i] += r * pi[s]
+		}
+	}
+	return out
+}
+
 func checkSystemAgainstNumeric(t *testing.T, p mdcd.Params, phis []float64) {
 	t.Helper()
 	gd, ndNew, ndOld := buildModels(t, p)
@@ -46,18 +64,12 @@ func checkSystemAgainstNumeric(t *testing.T, p mdcd.Params, phis []float64) {
 	// relative; per-point auto solves route large q·t through
 	// scaling-and-squaring expm, whose ~25 squarings cost ~1e-9 on
 	// their own and would contaminate a 1e-9 comparison).
-	want, err := gd.MeasuresSeries(phis)
+	want, err := gd.MeasuresSeriesContext(context.Background(), phis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNewS, err := ndNew.NoFailureProbabilitySeries(phis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOldS, err := ndOld.NoFailureProbabilitySeries(phis)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantNewS := noFailureSeries(t, ndNew, phis)
+	wantOldS := noFailureSeries(t, ndOld, phis)
 	for pi, phi := range phis {
 		got, err := sys.GdMeasures(phi)
 		if err != nil {

@@ -31,14 +31,14 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("long-run availability: %.2f\n", longRun)
+	fmt.Printf("long-run availability: %.2f\n", longRun[0])
 
 	repairs := reward.NewImpulseStructure().Add("repair", 1)
 	perHour, err := reward.SteadyStateImpulseRate(sp, repairs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("repairs per hour: %.3f\n", perHour)
+	fmt.Printf("repairs per hour: %.3f\n", perHour[0])
 
 	// Output:
 	// long-run availability: 0.90

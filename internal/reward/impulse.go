@@ -46,22 +46,6 @@ func (s *ImpulseStructure) AddWhen(activity string, impulse float64, pred func(s
 // Len returns the number of impulse items.
 func (s *ImpulseStructure) Len() int { return len(s.items) }
 
-// ImpulseItem is the public view of one impulse assignment, exposed for
-// static verification (internal/modelcheck) and diagnostics.
-type ImpulseItem struct {
-	Activity string
-	Impulse  float64
-}
-
-// Items returns the structure's impulse assignments in insertion order.
-func (s *ImpulseStructure) Items() []ImpulseItem {
-	out := make([]ImpulseItem, len(s.items))
-	for i, it := range s.items {
-		out[i] = ImpulseItem{Activity: it.activity, Impulse: it.impulse}
-	}
-	return out
-}
-
 // rateVector folds the impulse structure into an equivalent rate-reward
 // vector: state i earns Σ over transitions leaving i of impulse × rate.
 // This is the classical impulse-to-rate conversion for expected-value
@@ -82,21 +66,17 @@ func (s *ImpulseStructure) rateVector(sp *statespace.Space) []float64 {
 	return rates
 }
 
-// AccumulatedImpulse returns the expected total impulse reward earned over
-// [0, t] — for unit impulses, the expected number of activity completions.
-func AccumulatedImpulse(sp *statespace.Space, s *ImpulseStructure, t float64) (float64, error) {
-	if sp == nil {
-		return 0, errNilSpace
-	}
-	return sp.Chain.AccumulatedReward(sp.Initial, t, s.rateVector(sp))
-}
-
 // SteadyStateImpulseRate returns the long-run impulse reward rate (per unit
-// time) — for unit impulses, the long-run completion frequency of the
-// selected activities.
-func SteadyStateImpulseRate(sp *statespace.Space, s *ImpulseStructure) (float64, error) {
+// time) of each structure, in order, from one solve of the stationary
+// distribution — for unit impulses, the long-run completion frequency of
+// the selected activities.
+func SteadyStateImpulseRate(sp *statespace.Space, ss ...*ImpulseStructure) ([]float64, error) {
 	if sp == nil {
-		return 0, errNilSpace
+		return nil, errNilSpace
 	}
-	return sp.Chain.SteadyStateReward(s.rateVector(sp), steadyOpts())
+	rates := make([][]float64, len(ss))
+	for i, s := range ss {
+		rates[i] = s.rateVector(sp)
+	}
+	return sp.Chain.SteadyStateRewards(rates...)
 }

@@ -25,12 +25,18 @@ func poissonCounter(t *testing.T, r float64) *statespace.Space {
 	return sp
 }
 
+// accumulatedImpulse is the expected impulse reward earned over [0, t]:
+// the accumulated reward of the structure's folded rate vector.
+func accumulatedImpulse(sp *statespace.Space, is *ImpulseStructure, t float64) (float64, error) {
+	return sp.Chain.AccumulatedReward(sp.Initial, t, is.rateVector(sp))
+}
+
 func TestAccumulatedImpulseCountsPoissonEvents(t *testing.T) {
 	r := 3.5
 	sp := poissonCounter(t, r)
 	is := NewImpulseStructure().Add("tick", 1)
 	for _, tt := range []float64{0, 1, 10} {
-		got, err := AccumulatedImpulse(sp, is, tt)
+		got, err := accumulatedImpulse(sp, is, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,13 +76,13 @@ func TestSteadyStateImpulseRateTwoState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SteadyStateImpulseRate(sp, NewImpulseStructure().Add("fwd", 1))
+	got, err := SteadyStateImpulseRate(sp, NewImpulseStructure().Add("fwd", 1), NewImpulseStructure().Add("bwd", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := a * b / (a + b)
-	if math.Abs(got-want) > 1e-10 {
-		t.Errorf("completion rate = %v, want %v", got, want)
+	if len(got) != 2 || math.Abs(got[0]-want) > 1e-10 || math.Abs(got[1]-2*want) > 1e-10 {
+		t.Errorf("completion rates = %v, want [%v %v]", got, want, 2*want)
 	}
 }
 
@@ -87,7 +93,7 @@ func TestImpulseWeightsAndGating(t *testing.T) {
 	is := NewImpulseStructure().
 		AddWhen("tick", 2.5, func(int, *statespace.Space) bool { return true }).
 		AddWhen("tick", 100, func(int, *statespace.Space) bool { return false })
-	got, err := AccumulatedImpulse(sp, is, 2)
+	got, err := accumulatedImpulse(sp, is, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestImpulseWeightsAndGating(t *testing.T) {
 
 func TestImpulseUnknownActivityIsZero(t *testing.T) {
 	sp := poissonCounter(t, 4)
-	got, err := AccumulatedImpulse(sp, NewImpulseStructure().Add("nonexistent", 1), 5)
+	got, err := accumulatedImpulse(sp, NewImpulseStructure().Add("nonexistent", 1), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +115,6 @@ func TestImpulseUnknownActivityIsZero(t *testing.T) {
 
 func TestImpulseNilSpaceAndNilPredicate(t *testing.T) {
 	is := NewImpulseStructure().Add("x", 1)
-	if _, err := AccumulatedImpulse(nil, is, 1); err == nil {
-		t.Error("nil space accepted")
-	}
 	if _, err := SteadyStateImpulseRate(nil, is); err == nil {
 		t.Error("nil space accepted")
 	}

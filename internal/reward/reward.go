@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 
-	"guardedop/internal/ctmc"
 	"guardedop/internal/san"
 	"guardedop/internal/statespace"
 )
@@ -91,55 +90,16 @@ func Accumulated(sp *statespace.Space, s *Structure, t float64) (float64, error)
 	return sp.Chain.AccumulatedReward(sp.Initial, t, s.RateVector(sp))
 }
 
-// SteadyState returns the expected steady-state reward. The space's chain
-// must be ergodic.
-func SteadyState(sp *statespace.Space, s *Structure) (float64, error) {
+// SteadyState returns the expected steady-state reward of each structure,
+// in order, from one solve of the stationary distribution. The space's
+// chain must be ergodic.
+func SteadyState(sp *statespace.Space, ss ...*Structure) ([]float64, error) {
 	if sp == nil {
-		return 0, errNilSpace
+		return nil, errNilSpace
 	}
-	return sp.Chain.SteadyStateReward(s.RateVector(sp), steadyOpts())
-}
-
-// steadyOpts is the shared steady-state solver configuration.
-func steadyOpts() ctmc.SteadyStateOptions { return ctmc.SteadyStateOptions{} }
-
-// AccumulatedInterval returns the expected accumulated reward over
-// [t1, t2] (0 ≤ t1 ≤ t2), as the difference of two interval-of-time
-// rewards anchored at zero.
-func AccumulatedInterval(sp *statespace.Space, s *Structure, t1, t2 float64) (float64, error) {
-	if sp == nil {
-		return 0, errNilSpace
+	rates := make([][]float64, len(ss))
+	for i, s := range ss {
+		rates[i] = s.RateVector(sp)
 	}
-	if t1 < 0 || t2 < t1 {
-		return 0, fmt.Errorf("reward: invalid interval [%g, %g]", t1, t2)
-	}
-	hi, err := Accumulated(sp, s, t2)
-	if err != nil {
-		return 0, err
-	}
-	if t1 == 0 {
-		return hi, nil
-	}
-	lo, err := Accumulated(sp, s, t1)
-	if err != nil {
-		return 0, err
-	}
-	return hi - lo, nil
-}
-
-// UntilAbsorption returns the expected total reward accumulated over the
-// chain's whole lifetime (the chain must be absorbing).
-func UntilAbsorption(sp *statespace.Space, s *Structure) (float64, error) {
-	if sp == nil {
-		return 0, errNilSpace
-	}
-	return sp.Chain.AccumulatedUntilAbsorption(sp.Initial, s.RateVector(sp))
-}
-
-// StateProbability returns the transient probability at time t of the set of
-// states satisfying pred — the common "expected instant-of-time reward with
-// rate one" idiom of the paper's Table 1.
-func StateProbability(sp *statespace.Space, pred san.Predicate, t float64) (float64, error) {
-	s := NewStructure().Add("indicator", pred, 1)
-	return InstantOfTime(sp, s, t)
+	return sp.Chain.SteadyStateRewards(rates...)
 }

@@ -86,19 +86,23 @@ func TestSteadyStateMatchesAnalytic(t *testing.T) {
 	a, b := 3.0, 1.0
 	sp, _, p1 := buildCycle(t, a, b)
 	s := NewStructure().Add("inP1", func(mk san.Marking) bool { return mk.Get(p1) == 1 }, 2)
-	got, err := SteadyState(sp, s)
+	other := NewStructure().Add("inP0", func(mk san.Marking) bool { return mk.Get(p1) == 0 }, 1)
+	got, err := SteadyState(sp, s, other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 2 * a / (a + b)
-	if math.Abs(got-want) > 1e-10 {
-		t.Errorf("steady reward = %v, want %v", got, want)
+	want := []float64{2 * a / (a + b), b / (a + b)}
+	if len(got) != 2 || math.Abs(got[0]-want[0]) > 1e-10 || math.Abs(got[1]-want[1]) > 1e-10 {
+		t.Errorf("steady rewards = %v, want %v", got, want)
 	}
 }
 
+// A state-set probability is the instant-of-time reward of its rate-one
+// indicator (the idiom of the paper's Table 1).
 func TestStateProbability(t *testing.T) {
 	sp, p0, _ := buildCycle(t, 1, 1)
-	got, err := StateProbability(sp, func(mk san.Marking) bool { return mk.Get(p0) == 1 }, 0)
+	indicator := NewStructure().Add("indicator", func(mk san.Marking) bool { return mk.Get(p0) == 1 }, 1)
+	got, err := InstantOfTime(sp, indicator, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,68 +147,8 @@ func TestNegativeRatePairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// all(1) - inP1(1) = P(p0) = 0.5 at steady state.
-	if math.Abs(got-0.5) > 1e-10 {
-		t.Errorf("steady reward = %v, want 0.5", got)
+	if math.Abs(got[0]-0.5) > 1e-10 {
+		t.Errorf("steady reward = %v, want 0.5", got[0])
 	}
 	_ = p0
-}
-
-func TestAccumulatedInterval(t *testing.T) {
-	a, b := 2.0, 5.0
-	sp, _, p1 := buildCycle(t, a, b)
-	s := NewStructure().Add("inP1", func(mk san.Marking) bool { return mk.Get(p1) == 1 }, 1)
-	t1, t2 := 1.0, 3.0
-	full, err := Accumulated(sp, s, t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := Accumulated(sp, s, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AccumulatedInterval(sp, s, t1, t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-(full-head)) > 1e-12 {
-		t.Errorf("interval = %v, want %v", got, full-head)
-	}
-	if _, err := AccumulatedInterval(sp, s, 3, 1); err == nil {
-		t.Error("reversed interval accepted")
-	}
-	if _, err := AccumulatedInterval(nil, s, 0, 1); err == nil {
-		t.Error("nil space accepted")
-	}
-	zeroAnchor, err := AccumulatedInterval(sp, s, 0, t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(zeroAnchor-full) > 1e-12 {
-		t.Errorf("zero-anchored interval = %v, want %v", zeroAnchor, full)
-	}
-}
-
-func TestUntilAbsorption(t *testing.T) {
-	// One-way model: p0 --(rate 4)--> p1 (absorbing). Expected time with
-	// reward 1 on p0 is 1/4.
-	m := san.NewModel("oneway")
-	p0 := m.AddPlace("p0", 1)
-	p1 := m.AddPlace("p1", 0)
-	act := m.AddTimedActivity("go", san.ConstRate(4)).AddInputArc(p0, 1)
-	act.AddCase(san.ConstProb(1)).AddOutputArc(p1, 1)
-	sp, err := statespace.Generate(m, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStructure().Add("inP0", func(mk san.Marking) bool { return mk.Get(p0) == 1 }, 1)
-	got, err := UntilAbsorption(sp, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("lifetime reward = %v, want 0.25", got)
-	}
-	if _, err := UntilAbsorption(nil, s); err == nil {
-		t.Error("nil space accepted")
-	}
 }

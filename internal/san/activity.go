@@ -8,10 +8,6 @@ import (
 // RateFunc computes a marking-dependent firing rate.
 type RateFunc func(Marking) float64
 
-// WeightFunc computes a marking-dependent selection weight for races among
-// enabled instantaneous activities.
-type WeightFunc func(Marking) float64
-
 // Predicate reports whether an activity is enabled in a marking.
 type Predicate func(Marking) bool
 
@@ -64,12 +60,10 @@ func (c *Case) AddOutputFunc(fn MutateFunc) *Case {
 	return c
 }
 
-// Activity is a timed or instantaneous SAN activity.
+// Activity is an exponentially timed SAN activity.
 type Activity struct {
-	name   string
-	timed  bool
-	rate   RateFunc   // timed only
-	weight WeightFunc // instantaneous only; defaults to 1
+	name string
+	rate RateFunc
 
 	inputArcs  []arc
 	inputGates []inputGate
@@ -79,36 +73,14 @@ type Activity struct {
 // Name returns the activity name.
 func (a *Activity) Name() string { return a.name }
 
-// Timed reports whether the activity is timed (vs. instantaneous).
-func (a *Activity) Timed() bool { return a.timed }
-
 // Cases returns the activity's cases in creation order.
 func (a *Activity) Cases() []*Case { return a.cases }
 
 // AddTimedActivity creates an exponentially timed activity with the given
 // marking-dependent rate.
 func (m *Model) AddTimedActivity(name string, rate RateFunc) *Activity {
-	a := &Activity{name: name, timed: true, rate: rate}
+	a := &Activity{name: name, rate: rate}
 	m.activities = append(m.activities, a)
-	return a
-}
-
-// AddInstantaneousActivity creates an instantaneous activity. Instantaneous
-// activities take priority over timed ones; among several enabled
-// instantaneous activities the choice is weighted by SetWeight (default 1).
-func (m *Model) AddInstantaneousActivity(name string) *Activity {
-	a := &Activity{name: name, timed: false, weight: func(Marking) float64 { return 1 }}
-	m.activities = append(m.activities, a)
-	return a
-}
-
-// SetWeight sets the instantaneous race weight. Calling it on a timed
-// activity panics.
-func (a *Activity) SetWeight(w WeightFunc) *Activity {
-	if a.timed {
-		panic(fmt.Sprintf("san: SetWeight on timed activity %q", a.name))
-	}
-	a.weight = w
 	return a
 }
 
@@ -119,22 +91,6 @@ func (a *Activity) AddInputArc(p *Place, count int) *Activity {
 		panic(fmt.Sprintf("san: input arc from %q must carry positive tokens", p.name))
 	}
 	a.inputArcs = append(a.inputArcs, arc{place: p, tokens: count})
-	return a
-}
-
-// AddInhibitorArc disables the activity while place p holds at least
-// threshold tokens (the classic Petri-net inhibitor arc; threshold 1 means
-// "p must be empty"). Inhibitor arcs affect enabling only; they move no
-// tokens. It panics if threshold is not positive (a model-construction
-// bug).
-func (a *Activity) AddInhibitorArc(p *Place, threshold int) *Activity {
-	if threshold <= 0 {
-		panic(fmt.Sprintf("san: inhibitor arc on %q needs positive threshold", p.name))
-	}
-	a.inputGates = append(a.inputGates, inputGate{
-		name: "inhibit:" + p.name,
-		pred: func(mk Marking) bool { return mk.Get(p) < threshold },
-	})
 	return a
 }
 
@@ -179,30 +135,14 @@ func (a *Activity) Enabled(mk Marking) bool {
 	return true
 }
 
-// Rate returns the activity's firing rate in mk. It panics on timed
-// activities with non-finite or negative rates, and on instantaneous
-// activities (which have no rate).
+// Rate returns the activity's firing rate in mk. It panics on non-finite
+// or negative rates.
 func (a *Activity) Rate(mk Marking) float64 {
-	if !a.timed {
-		panic(fmt.Sprintf("san: Rate on instantaneous activity %q", a.name))
-	}
 	r := a.rate(mk)
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		panic(fmt.Sprintf("san: activity %q has invalid rate %g", a.name, r))
 	}
 	return r
-}
-
-// Weight returns the instantaneous race weight in mk. It panics if the
-// weight function produces a negative or non-finite value: a corrupt
-// weight would silently skew the vanishing-marking race, so it must not
-// survive into state-space generation.
-func (a *Activity) Weight(mk Marking) float64 {
-	w := a.weight(mk)
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		panic(fmt.Sprintf("san: activity %q has invalid weight %g", a.name, w))
-	}
-	return w
 }
 
 // Fire returns the markings reachable by firing a in mk, one per case with

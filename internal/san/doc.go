@@ -6,10 +6,10 @@
 //
 //   - Places holding non-negative integer markings (token counts).
 //   - Timed activities that fire after an exponentially distributed delay
-//     whose rate may depend on the current marking.
-//   - Instantaneous activities that fire immediately when enabled, taking
-//     priority over all timed activities; races among several enabled
-//     instantaneous activities are resolved by marking-dependent weights.
+//     whose rate may depend on the current marking. Every activity is
+//     timed: the paper's one instantaneous activity (the acceptance test)
+//     is folded into case probabilities by the model builders, so no
+//     marking is vanishing and every reachable marking is a CTMC state.
 //   - Cases: each activity completes into one of its cases, selected by
 //     marking-dependent case probabilities; each case applies its own
 //     output changes. An activity with no explicit cases has one implicit

@@ -8,8 +8,8 @@ import (
 
 // WriteDot renders the SAN's structure as a Graphviz digraph: places as
 // circles (labelled with non-zero initial markings), timed activities as
-// filled boxes, instantaneous activities as thin black bars — the
-// conventional SAN drawing style of the paper's Figures 6-8. Input/output
+// filled boxes — the conventional SAN drawing style of the paper's
+// Figures 6-8. Input/output
 // arcs appear as edges; gates are noted on the activity label because
 // their predicates and functions are opaque Go code.
 func (m *Model) WriteDot(w io.Writer) error {
@@ -25,21 +25,12 @@ func (m *Model) WriteDot(w io.Writer) error {
 		fmt.Fprintf(&b, "  place_%d [shape=circle, label=\"%s\"];\n", p.index, label)
 	}
 	for ai, a := range m.activities {
-		shape, style := "box", "filled, rounded"
-		fill := "lightgrey"
-		if !a.timed {
-			shape, style, fill = "box", "filled", "black"
-		}
 		label := a.name
 		if gates := len(a.inputGates); gates > 0 {
 			label = fmt.Sprintf("%s\\n[%d gate(s)]", a.name, gates)
 		}
-		extra := ""
-		if !a.timed {
-			extra = ", width=0.1, fontcolor=white"
-		}
-		fmt.Fprintf(&b, "  act_%d [shape=%s, style=\"%s\", fillcolor=%s, label=\"%s\"%s];\n",
-			ai, shape, style, fill, label, extra)
+		fmt.Fprintf(&b, "  act_%d [shape=box, style=\"filled, rounded\", fillcolor=lightgrey, label=\"%s\"];\n",
+			ai, label)
 
 		for _, ia := range a.inputArcs {
 			lbl := ""

@@ -14,8 +14,8 @@ func TestWriteDot(t *testing.T) {
 		AddInputGate("g", func(Marking) bool { return true }, nil)
 	act.AddCase(ConstProb(0.5)).AddOutputArc(q, 1)
 	act.AddCase(ConstProb(0.5)).AddOutputArc(q, 2)
-	inst := m.AddInstantaneousActivity("flash").AddInputArc(q, 3)
-	inst.AddCase(ConstProb(1)).AddOutputArc(p, 1)
+	back := m.AddTimedActivity("flash", ConstRate(2)).AddInputArc(q, 3)
+	back.AddCase(ConstProb(1)).AddOutputArc(p, 1)
 
 	var b strings.Builder
 	if err := m.WriteDot(&b); err != nil {

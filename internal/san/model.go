@@ -73,8 +73,8 @@ func (m *Model) InitialMarking() Marking {
 	return mk
 }
 
-// Validate checks structural well-formedness: every activity has a rate (if
-// timed), at least one case path, and case probabilities that are
+// Validate checks structural well-formedness: every activity has a rate,
+// at least one case path, and case probabilities that are
 // marking-independent sane (checked lazily at exploration time for
 // marking-dependent ones).
 func (m *Model) Validate() error {
@@ -87,8 +87,8 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("san: duplicate activity %q in model %q", a.name, m.name)
 		}
 		names[a.name] = true
-		if a.timed && a.rate == nil {
-			return fmt.Errorf("san: timed activity %q has no rate", a.name)
+		if a.rate == nil {
+			return fmt.Errorf("san: activity %q has no rate", a.name)
 		}
 		if len(a.cases) == 0 {
 			return fmt.Errorf("san: activity %q has no cases", a.name)

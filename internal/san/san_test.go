@@ -176,35 +176,6 @@ func TestImplicitCertainCase(t *testing.T) {
 	}
 }
 
-func TestInstantaneousWeight(t *testing.T) {
-	m := NewModel("inst")
-	m.AddPlace("p", 0)
-	a := m.AddInstantaneousActivity("i")
-	mk := m.InitialMarking()
-	if a.Weight(mk) != 1 {
-		t.Errorf("default weight = %v, want 1", a.Weight(mk))
-	}
-	a.SetWeight(func(Marking) float64 { return 3 })
-	if a.Weight(mk) != 3 {
-		t.Errorf("weight = %v, want 3", a.Weight(mk))
-	}
-	if a.Timed() {
-		t.Error("instantaneous activity reports Timed")
-	}
-}
-
-func TestSetWeightOnTimedPanics(t *testing.T) {
-	m := NewModel("w")
-	m.AddPlace("p", 0)
-	a := m.AddTimedActivity("t", ConstRate(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetWeight on timed activity did not panic")
-		}
-	}()
-	a.SetWeight(func(Marking) float64 { return 1 })
-}
-
 func TestInvalidRatePanics(t *testing.T) {
 	m := NewModel("r")
 	m.AddPlace("p", 0)
@@ -280,38 +251,4 @@ func TestMarkingFormat(t *testing.T) {
 	if got != "{beta=2}" {
 		t.Errorf("format = %q, want {beta=2}", got)
 	}
-}
-
-func TestInhibitorArc(t *testing.T) {
-	m := NewModel("inhibit")
-	p := m.AddPlace("p", 1)
-	q := m.AddPlace("q", 0)
-	act := m.AddTimedActivity("t", ConstRate(1)).
-		AddInputArc(p, 1).
-		AddInhibitorArc(q, 2)
-	act.AddCase(ConstProb(1))
-	mk := m.InitialMarking()
-	if !act.Enabled(mk) {
-		t.Fatal("enabled below threshold expected")
-	}
-	mk.Set(q, 1)
-	if !act.Enabled(mk) {
-		t.Fatal("still below threshold")
-	}
-	mk.Set(q, 2)
-	if act.Enabled(mk) {
-		t.Fatal("inhibitor at threshold should disable")
-	}
-}
-
-func TestInhibitorArcBadThresholdPanics(t *testing.T) {
-	m := NewModel("inhibitbad")
-	p := m.AddPlace("p", 0)
-	a := m.AddTimedActivity("t", ConstRate(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("threshold 0 did not panic")
-		}
-	}()
-	a.AddInhibitorArc(p, 0)
 }

@@ -348,18 +348,24 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, key string, bu
 		// span tree lands in the leader's request tracer — and, by
 		// aggregate propagation, in the process tracer.
 		fctx = obs.AdoptTrace(fctx, ctx)
+		// stamp marks a fresh result with the computing request's trace ID.
+		// It must run before the result is published to the response cache:
+		// a concurrent cache hit reads traceID, so a published result is
+		// never written again, and results recycled from the cache
+		// re-check keep their original ID untouched.
+		stamp := func(res *apiResult) *apiResult {
+			if info != nil {
+				res.traceID = info.traceID
+			}
+			return res
+		}
 		defer func() {
 			// A panic inside a flight would otherwise kill the process
 			// (the flight runs outside the HTTP handler's recovery).
 			if rec := recover(); rec != nil {
 				obs.Count(fctx, obs.CtrServePanics, 1)
 				s.logf("serve: recovered panic in flight %s: %v", r.URL.Path, rec)
-				out = errorResult(fmt.Errorf("%w: %v", robust.ErrPanic, rec))
-			}
-			// Stamp fresh results with the computing request's trace ID;
-			// results recycled from the cache re-check keep their original.
-			if out != nil && out.traceID == "" && info != nil {
-				out.traceID = info.traceID
+				out = stamp(errorResult(fmt.Errorf("%w: %v", robust.ErrPanic, rec)))
 			}
 		}()
 		// Re-check the cache now that this flight owns the key: a request
@@ -376,14 +382,14 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, key string, bu
 		if aerr != nil {
 			if errors.Is(aerr, ErrShed) {
 				obs.Count(fctx, obs.CtrServeShed, 1)
-				return shedResult(s.limiter.RetryAfter()), nil
+				return stamp(shedResult(s.limiter.RetryAfter())), nil
 			}
-			return errorResult(aerr), nil
+			return stamp(errorResult(aerr)), nil
 		}
 		defer release()
 		sctx, cancel := context.WithTimeout(fctx, budget)
 		defer cancel()
-		out = compute(sctx)
+		out = stamp(compute(sctx))
 		if out.cacheable {
 			// Fill the cache from inside the flight, so by the time the
 			// flight is forgotten the answer is already cached (see the

@@ -3,13 +3,17 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"guardedop/internal/obs"
 	"guardedop/internal/template"
@@ -441,5 +445,60 @@ func TestMetricsServeGauges(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestFlightTraceStampBeforePublish races response-cache hits against a
+// finishing flight. The flight must stamp its trace ID on a fresh result
+// before publishing it to the cache: the hits read that ID (every one
+// must link to the leader), so a stamp written after publication is a
+// data race the race detector reports.
+func TestFlightTraceStampBeforePublish(t *testing.T) {
+	t.Parallel()
+	s := New(Config{})
+	const key = "stamp-race"
+	computed := make(chan struct{})
+	compute := func(context.Context) *apiResult {
+		close(computed)
+		return jsonResult(map[string]bool{"ok": true}, false, true)
+	}
+	serve := func(traceID string) (*httptest.ResponseRecorder, *reqInfo) {
+		info := &reqInfo{route: "test", traceID: traceID}
+		req := httptest.NewRequest(http.MethodGet, "/test", nil)
+		req = req.WithContext(context.WithValue(req.Context(), reqInfoKey{}, info))
+		rec := httptest.NewRecorder()
+		s.serveAPI(rec, req, key, time.Second, compute)
+		return rec, info
+	}
+
+	const hitters = 8
+	var wg sync.WaitGroup
+	wg.Add(hitters)
+	for i := 0; i < hitters; i++ {
+		go func(i int) {
+			defer wg.Done()
+			<-computed
+			// Wait for the flight to publish without joining it: a hit
+			// that never synchronized with the flight's return is the
+			// access a post-publication stamp races with.
+			for {
+				if _, ok := s.responses.Get(context.Background(), key); ok {
+					break
+				}
+				runtime.Gosched()
+			}
+			rec, info := serve(fmt.Sprintf("hitter-%d", i))
+			if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+				t.Errorf("hitter %d: status %d, X-Cache %q, want a 200 cache hit", i, rec.Code, rec.Header().Get("X-Cache"))
+			}
+			if info.link != "leader" {
+				t.Errorf("hitter %d: link = %q, want the leader's trace ID", i, info.link)
+			}
+		}(i)
+	}
+	rec, info := serve("leader")
+	wg.Wait()
+	if rec.Code != http.StatusOK || info.link != "" || info.cached {
+		t.Errorf("leader: status %d, link %q, cached %v, want a fresh 200 with no link", rec.Code, info.link, info.cached)
 	}
 }

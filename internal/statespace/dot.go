@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// WriteDot renders the tangible reachability graph as a Graphviz digraph:
+// WriteDot renders the reachability graph as a Graphviz digraph:
 // states labelled with their non-zero markings, edges labelled with the
 // causing activity and rate. Absorbing states are drawn with double
 // circles; states with initial probability are marked.

@@ -12,8 +12,8 @@ import (
 )
 
 // randomSAN builds a structurally random (but well-formed) SAN: a handful
-// of places with small initial markings and timed/instantaneous activities
-// with random arcs and two-way probabilistic cases.
+// of places with small initial markings and timed activities with random
+// arcs and two-way probabilistic cases.
 func randomSAN(rng *rand.Rand) *san.Model {
 	m := san.NewModel("fuzz")
 	nPlaces := 2 + rng.Intn(4)
@@ -23,15 +23,7 @@ func randomSAN(rng *rand.Rand) *san.Model {
 	}
 	nActs := 1 + rng.Intn(5)
 	for i := 0; i < nActs; i++ {
-		var a *san.Activity
-		// Bias towards timed activities; instantaneous ones risk benign
-		// vanishing loops, which Generate must report as errors rather
-		// than hang on.
-		if rng.Float64() < 0.8 {
-			a = m.AddTimedActivity(fmt.Sprintf("t%d", i), san.ConstRate(0.1+rng.Float64()*5))
-		} else {
-			a = m.AddInstantaneousActivity(fmt.Sprintf("i%d", i))
-		}
+		a := m.AddTimedActivity(fmt.Sprintf("t%d", i), san.ConstRate(0.1+rng.Float64()*5))
 		a.AddInputArc(places[rng.Intn(nPlaces)], 1)
 		if rng.Float64() < 0.5 {
 			pA := 0.2 + 0.6*rng.Float64()
@@ -45,7 +37,7 @@ func randomSAN(rng *rand.Rand) *san.Model {
 }
 
 // Property: for any random well-formed SAN, Generate either returns a valid
-// space (stochastic initial distribution, valid generator, self-loop-free
+// space (point-mass initial distribution, valid generator, self-loop-free
 // chain, consistent transition labels) or fails with a *reported* error —
 // never panics, never returns an inconsistent space.
 func TestGenerateRandomSANProperty(t *testing.T) {
@@ -54,12 +46,12 @@ func TestGenerateRandomSANProperty(t *testing.T) {
 		m := randomSAN(rng)
 		sp, err := Generate(m, Options{MaxStates: 20000})
 		if err != nil {
-			// Vanishing loops and state explosions are legitimate
-			// diagnoses for random structures; what matters is that the
-			// failure was reported rather than a panic or a bogus space.
+			// State explosions are legitimate diagnoses for random
+			// structures; what matters is that the failure was reported
+			// rather than a panic or a bogus space.
 			return true
 		}
-		if math.Abs(sparse.Sum(sp.Initial)-1) > 1e-9 {
+		if sp.Initial[0] != 1 || sparse.Sum(sp.Initial) != 1 {
 			return false
 		}
 		// The generator must be a valid CTMC (rows sum to zero) — already
@@ -89,30 +81,6 @@ func TestGenerateRandomSANProperty(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(7))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: every reachable tangible state has no enabled instantaneous
-// activity (tangibility is preserved by elimination).
-func TestGenerateTangibilityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := randomSAN(rng)
-		sp, err := Generate(m, Options{MaxStates: 20000})
-		if err != nil {
-			return true
-		}
-		for _, mk := range sp.States {
-			for _, a := range m.Activities() {
-				if !a.Timed() && a.Enabled(mk) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(11))}); err != nil {
 		t.Fatal(err)
 	}
 }

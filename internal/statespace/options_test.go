@@ -18,10 +18,8 @@ func TestOptionsRejectNegative(t *testing.T) {
 		ok   bool
 	}{
 		{name: "zero-defaults", opts: Options{}, ok: true},
-		{name: "explicit", opts: Options{MaxStates: 10, MaxVanishingDepth: 4}, ok: true},
+		{name: "explicit", opts: Options{MaxStates: 10}, ok: true},
 		{name: "negative-max-states", opts: Options{MaxStates: -1}, ok: false},
-		{name: "negative-vanishing-depth", opts: Options{MaxVanishingDepth: -7}, ok: false},
-		{name: "both-negative", opts: Options{MaxStates: -3, MaxVanishingDepth: -3}, ok: false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -30,7 +28,7 @@ func TestOptionsRejectNegative(t *testing.T) {
 				if err != nil {
 					t.Fatalf("withDefaults(%+v) = %v, want nil", tc.opts, err)
 				}
-				if got.MaxStates <= 0 || got.MaxVanishingDepth <= 0 {
+				if got.MaxStates <= 0 {
 					t.Fatalf("withDefaults(%+v) left a bound unset: %+v", tc.opts, got)
 				}
 				return

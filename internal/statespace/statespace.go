@@ -2,16 +2,12 @@
 // activity network and converts it into a labelled continuous-time Markov
 // chain.
 //
-// Markings in which an instantaneous activity is enabled ("vanishing"
-// markings) are eliminated on the fly: the probability mass of a firing
-// that lands in a vanishing marking is pushed through the instantaneous
-// closure until only tangible markings remain. Chains of instantaneous
-// firings are followed up to a configurable depth; exceeding it (a loop of
-// instantaneous activities) is reported as an error.
+// Every SAN activity is timed, so every reachable marking is tangible: each
+// one becomes a CTMC state, and each enabled activity's cases become
+// transitions at rate × case probability.
 package statespace
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -25,30 +21,17 @@ import (
 type Options struct {
 	// MaxStates caps exploration (default 1 << 20).
 	MaxStates int
-	// MaxVanishingDepth bounds chains of instantaneous firings
-	// (default 128).
-	MaxVanishingDepth int
 }
 
 func (o Options) withDefaults() (Options, error) {
 	if o.MaxStates < 0 {
 		return o, fmt.Errorf("statespace: MaxStates %d is negative: %w", o.MaxStates, robust.ErrInvariant)
 	}
-	if o.MaxVanishingDepth < 0 {
-		return o, fmt.Errorf("statespace: MaxVanishingDepth %d is negative: %w", o.MaxVanishingDepth, robust.ErrInvariant)
-	}
 	if o.MaxStates == 0 {
 		o.MaxStates = 1 << 20
 	}
-	if o.MaxVanishingDepth == 0 {
-		o.MaxVanishingDepth = 128
-	}
 	return o, nil
 }
-
-// ErrVanishingLoop is reported when instantaneous activities cycle without
-// reaching a tangible marking.
-var ErrVanishingLoop = errors.New("statespace: loop of instantaneous activities")
 
 // ErrStateSpaceTooLarge is reported when reachability exploration exceeds
 // Options.MaxStates. It wraps robust.ErrInvariant so robust.ErrorClass —
@@ -57,15 +40,16 @@ var ErrVanishingLoop = errors.New("statespace: loop of instantaneous activities"
 // failure.
 var ErrStateSpaceTooLarge = fmt.Errorf("statespace: state space too large: %w", robust.ErrInvariant)
 
-// Space is the generated state space: the list of tangible markings, the
-// CTMC over them, and the initial distribution (a distribution rather than
-// a point mass because the initial marking may itself be vanishing).
+// Space is the generated state space: the list of reachable markings, the
+// CTMC over them, and the initial distribution.
 type Space struct {
-	Model   *san.Model
-	States  []san.Marking
-	Chain   *ctmc.Chain
+	Model  *san.Model
+	States []san.Marking
+	Chain  *ctmc.Chain
+	// Initial is the initial distribution: a point mass on state 0, the
+	// model's initial marking.
 	Initial []float64
-	// Transitions lists every tangible-to-tangible transition labelled
+	// Transitions lists every state-to-state transition labelled
 	// with the timed activity whose completion causes it, aggregated per
 	// (from, to, activity). Unlike the CTMC generator it RETAINS
 	// self-loops (an activity completing without changing the marking):
@@ -83,11 +67,11 @@ type Transition struct {
 	Activity string
 }
 
-// NumStates returns the number of tangible states.
+// NumStates returns the number of states.
 func (s *Space) NumStates() int { return len(s.States) }
 
 // StateIndex returns the index of the given marking, or -1 if it is not a
-// tangible reachable state.
+// reachable state.
 func (s *Space) StateIndex(mk san.Marking) int {
 	if i, ok := s.index[mk.Key()]; ok {
 		return i
@@ -96,7 +80,7 @@ func (s *Space) StateIndex(mk san.Marking) int {
 }
 
 // Generate explores the SAN's reachability graph from its initial marking
-// and returns the tangible state space with its CTMC.
+// and returns the state space with its CTMC.
 func Generate(model *san.Model, opts Options) (*Space, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -107,21 +91,8 @@ func Generate(model *san.Model, opts Options) (*Space, error) {
 	}
 
 	sp := &Space{Model: model, index: make(map[string]int)}
-	g := &generator{model: model, opts: opts, space: sp}
-
-	init, err := g.vanishingClosure(model.InitialMarking(), 0)
-	if err != nil {
-		return nil, err
-	}
-	var frontier []int
-	initDist := make(map[int]float64)
-	for _, tm := range init {
-		idx, isNew := g.intern(tm.marking)
-		if isNew {
-			frontier = append(frontier, idx)
-		}
-		initDist[idx] += tm.prob
-	}
+	sp.intern(model.InitialMarking())
+	frontier := []int{0}
 
 	type edge struct {
 		from, to int
@@ -135,7 +106,7 @@ func Generate(model *san.Model, opts Options) (*Space, error) {
 		frontier = frontier[1:]
 		mk := sp.States[s]
 		for _, a := range model.Activities() {
-			if !a.Timed() || !a.Enabled(mk) {
+			if !a.Enabled(mk) {
 				continue
 			}
 			rate := a.Rate(mk)
@@ -147,17 +118,11 @@ func Generate(model *san.Model, opts Options) (*Space, error) {
 				return nil, fmt.Errorf("statespace: firing %q in %s: %w", a.Name(), mk.Key(), err)
 			}
 			for i, out := range outs {
-				closure, err := g.vanishingClosure(out, 0)
-				if err != nil {
-					return nil, fmt.Errorf("statespace: after firing %q: %w", a.Name(), err)
+				idx, isNew := sp.intern(out)
+				if isNew {
+					frontier = append(frontier, idx)
 				}
-				for _, tm := range closure {
-					idx, isNew := g.intern(tm.marking)
-					if isNew {
-						frontier = append(frontier, idx)
-					}
-					edges = append(edges, edge{from: s, to: idx, rate: rate * probs[i] * tm.prob, activity: a.Name()})
-				}
+				edges = append(edges, edge{from: s, to: idx, rate: rate * probs[i], activity: a.Name()})
 			}
 		}
 		if len(sp.States) > opts.MaxStates {
@@ -196,102 +161,18 @@ func Generate(model *san.Model, opts Options) (*Space, error) {
 	}
 	sp.Chain = chain
 	sp.Initial = make([]float64, n)
-	for idx, p := range initDist {
-		sp.Initial[idx] = p
-	}
+	sp.Initial[0] = 1
 	return sp, nil
 }
 
-type generator struct {
-	model *san.Model
-	opts  Options
-	space *Space
-}
-
 // intern returns the state index for mk, creating it if unseen.
-func (g *generator) intern(mk san.Marking) (idx int, isNew bool) {
+func (s *Space) intern(mk san.Marking) (idx int, isNew bool) {
 	key := mk.Key()
-	if i, ok := g.space.index[key]; ok {
+	if i, ok := s.index[key]; ok {
 		return i, false
 	}
-	idx = len(g.space.States)
-	g.space.States = append(g.space.States, mk)
-	g.space.index[key] = idx
+	idx = len(s.States)
+	s.States = append(s.States, mk)
+	s.index[key] = idx
 	return idx, true
-}
-
-// tangibleMass is one tangible marking reached from a vanishing closure with
-// its probability.
-type tangibleMass struct {
-	marking san.Marking
-	prob    float64
-}
-
-// enabledInstantaneous returns the instantaneous activities enabled in mk.
-func (g *generator) enabledInstantaneous(mk san.Marking) []*san.Activity {
-	var out []*san.Activity
-	for _, a := range g.model.Activities() {
-		if !a.Timed() && a.Enabled(mk) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// vanishingClosure resolves mk through instantaneous firings until only
-// tangible markings remain, returning them with their probabilities.
-func (g *generator) vanishingClosure(mk san.Marking, depth int) ([]tangibleMass, error) {
-	insts := g.enabledInstantaneous(mk)
-	if len(insts) == 0 {
-		return []tangibleMass{{marking: mk, prob: 1}}, nil
-	}
-	if depth >= g.opts.MaxVanishingDepth {
-		return nil, fmt.Errorf("%w (depth %d at marking %s)", ErrVanishingLoop, depth, mk.Key())
-	}
-	totalWeight := 0.0
-	weights := make([]float64, len(insts))
-	for i, a := range insts {
-		weights[i] = a.Weight(mk)
-		totalWeight += weights[i]
-	}
-	if totalWeight == 0 {
-		return nil, fmt.Errorf("statespace: all instantaneous weights zero in marking %s", mk.Key())
-	}
-	var out []tangibleMass
-	for i, a := range insts {
-		w := weights[i] / totalWeight
-		if w == 0 {
-			continue
-		}
-		outs, probs, err := a.Fire(mk)
-		if err != nil {
-			return nil, fmt.Errorf("statespace: instantaneous %q: %w", a.Name(), err)
-		}
-		for j, o := range outs {
-			sub, err := g.vanishingClosure(o, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			for _, tm := range sub {
-				out = append(out, tangibleMass{marking: tm.marking, prob: w * probs[j] * tm.prob})
-			}
-		}
-	}
-	return mergeMass(out), nil
-}
-
-// mergeMass coalesces duplicate markings in a closure result.
-func mergeMass(in []tangibleMass) []tangibleMass {
-	seen := make(map[string]int, len(in))
-	var out []tangibleMass
-	for _, tm := range in {
-		key := tm.marking.Key()
-		if i, ok := seen[key]; ok {
-			out[i].prob += tm.prob
-			continue
-		}
-		seen[key] = len(out)
-		out = append(out, tm)
-	}
-	return out
 }

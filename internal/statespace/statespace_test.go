@@ -1,9 +1,6 @@
 package statespace
 
 import (
-	"errors"
-
-	"guardedop/internal/ctmc"
 	"math"
 	"testing"
 
@@ -52,157 +49,34 @@ func TestGenerateTwoStateCycle(t *testing.T) {
 	}
 }
 
-func TestGenerateEliminatesVanishing(t *testing.T) {
-	// p0 --timed--> v --instantaneous--> split 30/70 into a or b (absorbing).
-	m := san.NewModel("vanish")
+func TestGenerateCaseSplit(t *testing.T) {
+	// p0 --timed, cases 30/70--> a or b (both absorbing): each case
+	// becomes its own transition at rate × case probability.
+	m := san.NewModel("split")
 	p0 := m.AddPlace("p0", 1)
-	v := m.AddPlace("v", 0)
 	pa := m.AddPlace("a", 0)
 	pb := m.AddPlace("b", 0)
 	tact := m.AddTimedActivity("go", san.ConstRate(2)).AddInputArc(p0, 1)
-	tact.AddCase(san.ConstProb(1)).AddOutputArc(v, 1)
-	inst := m.AddInstantaneousActivity("split").AddInputArc(v, 1)
-	inst.AddCase(san.ConstProb(0.3)).AddOutputArc(pa, 1)
-	inst.AddCase(san.ConstProb(0.7)).AddOutputArc(pb, 1)
+	tact.AddCase(san.ConstProb(0.3)).AddOutputArc(pa, 1)
+	tact.AddCase(san.ConstProb(0.7)).AddOutputArc(pb, 1)
 
 	sp, err := Generate(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.NumStates() != 3 {
-		t.Fatalf("NumStates = %d, want 3 (vanishing marking must be eliminated)", sp.NumStates())
+		t.Fatalf("NumStates = %d, want 3", sp.NumStates())
 	}
-	for _, mk := range sp.States {
-		if mk.Get(v) != 0 {
-			t.Fatalf("vanishing marking %v retained", mk)
-		}
+	if sp.Initial[0] != 1 || sparse.Sum(sp.Initial) != 1 || sp.States[0].Key() != m.InitialMarking().Key() {
+		t.Fatalf("initial distribution %v is not a point mass on the initial marking", sp.Initial)
 	}
-	// Long-run absorption split must be 0.3 / 0.7.
-	abs, err := sp.Chain.AbsorbingAnalysis()
+	idxA := sp.StateIndex(san.Marking{0, 1, 0})
+	_, hit, err := sp.Chain.MeanFirstPassage(sp.Initial, []int{idxA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxA := -1
-	for i, mk := range sp.States {
-		if mk.Get(pa) == 1 {
-			idxA = i
-		}
-	}
-	p, err := abs.AbsorptionProbability(sp.Initial, idxA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.3) > 1e-12 {
-		t.Errorf("P(absorb in a) = %v, want 0.3", p)
-	}
-}
-
-func TestGenerateVanishingChain(t *testing.T) {
-	// Two chained instantaneous activities must both be eliminated.
-	m := san.NewModel("chain")
-	p0 := m.AddPlace("p0", 1)
-	v1 := m.AddPlace("v1", 0)
-	v2 := m.AddPlace("v2", 0)
-	end := m.AddPlace("end", 0)
-	tact := m.AddTimedActivity("go", san.ConstRate(1)).AddInputArc(p0, 1)
-	tact.AddCase(san.ConstProb(1)).AddOutputArc(v1, 1)
-	i1 := m.AddInstantaneousActivity("i1").AddInputArc(v1, 1)
-	i1.AddCase(san.ConstProb(1)).AddOutputArc(v2, 1)
-	i2 := m.AddInstantaneousActivity("i2").AddInputArc(v2, 1)
-	i2.AddCase(san.ConstProb(1)).AddOutputArc(end, 1)
-
-	sp, err := Generate(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.NumStates() != 2 {
-		t.Fatalf("NumStates = %d, want 2", sp.NumStates())
-	}
-}
-
-func TestGenerateVanishingInitialMarking(t *testing.T) {
-	// The initial marking itself is vanishing: the initial distribution is
-	// split across tangible states.
-	m := san.NewModel("vinit")
-	v := m.AddPlace("v", 1)
-	pa := m.AddPlace("a", 0)
-	pb := m.AddPlace("b", 0)
-	inst := m.AddInstantaneousActivity("split").AddInputArc(v, 1)
-	inst.AddCase(san.ConstProb(0.25)).AddOutputArc(pa, 1)
-	inst.AddCase(san.ConstProb(0.75)).AddOutputArc(pb, 1)
-	// Keep the tangible states live with a slow cycle so the model has a
-	// non-degenerate CTMC.
-	back := m.AddTimedActivity("swap", san.ConstRate(1)).AddInputArc(pa, 1)
-	back.AddCase(san.ConstProb(1)).AddOutputArc(pb, 1)
-
-	sp, err := Generate(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.NumStates() != 2 {
-		t.Fatalf("NumStates = %d, want 2", sp.NumStates())
-	}
-	var pA, pB float64
-	for i, mk := range sp.States {
-		switch {
-		case mk.Get(pa) == 1:
-			pA = sp.Initial[i]
-		case mk.Get(pb) == 1:
-			pB = sp.Initial[i]
-		}
-	}
-	if math.Abs(pA-0.25) > 1e-12 || math.Abs(pB-0.75) > 1e-12 {
-		t.Errorf("initial split = (%v,%v), want (0.25,0.75)", pA, pB)
-	}
-}
-
-func TestGenerateVanishingLoopDetected(t *testing.T) {
-	m := san.NewModel("loop")
-	v1 := m.AddPlace("v1", 1)
-	v2 := m.AddPlace("v2", 0)
-	i1 := m.AddInstantaneousActivity("i1").AddInputArc(v1, 1)
-	i1.AddCase(san.ConstProb(1)).AddOutputArc(v2, 1)
-	i2 := m.AddInstantaneousActivity("i2").AddInputArc(v2, 1)
-	i2.AddCase(san.ConstProb(1)).AddOutputArc(v1, 1)
-	_, err := Generate(m, Options{})
-	if !errors.Is(err, ErrVanishingLoop) {
-		t.Fatalf("err = %v, want ErrVanishingLoop", err)
-	}
-}
-
-func TestGenerateWeightedInstantaneousRace(t *testing.T) {
-	// Two instantaneous activities race with weights 1 and 3.
-	m := san.NewModel("race")
-	p0 := m.AddPlace("p0", 1)
-	v := m.AddPlace("v", 0)
-	pa := m.AddPlace("a", 0)
-	pb := m.AddPlace("b", 0)
-	tact := m.AddTimedActivity("go", san.ConstRate(1)).AddInputArc(p0, 1)
-	tact.AddCase(san.ConstProb(1)).AddOutputArc(v, 1)
-	ia := m.AddInstantaneousActivity("toA").AddInputArc(v, 1)
-	ia.AddCase(san.ConstProb(1)).AddOutputArc(pa, 1)
-	ib := m.AddInstantaneousActivity("toB").AddInputArc(v, 1).
-		SetWeight(func(san.Marking) float64 { return 3 })
-	ib.AddCase(san.ConstProb(1)).AddOutputArc(pb, 1)
-
-	sp, err := Generate(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, err := sp.Chain.AbsorbingAnalysis()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mk := range sp.States {
-		if mk.Get(pa) == 1 {
-			p, err := abs.AbsorptionProbability(sp.Initial, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(p-0.25) > 1e-12 {
-				t.Errorf("P(a) = %v, want 0.25", p)
-			}
-		}
+	if math.Abs(hit-0.3) > 1e-12 {
+		t.Errorf("P(absorb in a) = %v, want 0.3", hit)
 	}
 }
 
@@ -228,7 +102,7 @@ func TestGenerateMarkingDependentRate(t *testing.T) {
 		t.Fatalf("NumStates = %d, want %d", sp.NumStates(), capacity+1)
 	}
 	// Steady state of M/M/inf truncated: pi_i ∝ (lambda/mu)^i / i!.
-	pi, err := sp.Chain.SteadyState(ctmc.SteadyStateOptions{})
+	pi, err := sp.Chain.SteadyState()
 	if err != nil {
 		t.Fatal(err)
 	}

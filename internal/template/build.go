@@ -55,10 +55,7 @@ func Build(ctx context.Context, spec *Spec) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := statespace.Options{
-		MaxStates:         spec.Limits.MaxStates,
-		MaxVanishingDepth: spec.Limits.MaxVanishingDepth,
-	}
+	opts := statespace.Options{MaxStates: spec.Limits.MaxStates}
 
 	gd, err := buildGd(spec, nodes, opts)
 	if err != nil {

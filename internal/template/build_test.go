@@ -265,4 +265,13 @@ func TestParseRoundTrip(t *testing.T) {
 	if _, err := template.Parse([]byte("{not json")); !errors.Is(err, robust.ErrInvariant) {
 		t.Fatalf("malformed JSON error %v is not robust.ErrInvariant", err)
 	}
+	// Specs written for the retired limits.max_vanishing_depth field keep
+	// parsing; the field is ignored.
+	legacy, err := template.Parse([]byte(legacyLimitsSpec))
+	if err != nil {
+		t.Fatalf("Parse legacy limits: %v", err)
+	}
+	if legacy.Limits.MaxStates != 4096 {
+		t.Fatalf("legacy limits = %+v, want max_states 4096", legacy.Limits)
+	}
 }

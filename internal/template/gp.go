@@ -252,10 +252,7 @@ func buildGpJoint(spec *Spec, nodes []node) (*gpResult, error) {
 	if spec.Limits.MaxStates > 0 && spec.Limits.MaxStates < capStates {
 		capStates = spec.Limits.MaxStates
 	}
-	sp, err := statespace.Generate(m, statespace.Options{
-		MaxStates:         capStates,
-		MaxVanishingDepth: spec.Limits.MaxVanishingDepth,
-	})
+	sp, err := statespace.Generate(m, statespace.Options{MaxStates: capStates})
 	if err != nil {
 		if errors.Is(err, statespace.ErrStateSpaceTooLarge) {
 			return nil, err
@@ -263,26 +260,29 @@ func buildGpJoint(spec *Spec, nodes []node) (*gpResult, error) {
 		return nil, fmt.Errorf("template: generating Gp space: %w", err)
 	}
 
-	rhos := make([]float64, len(nodes))
-	for _, n := range nodes {
-		var s *reward.Structure
+	structs := make([]*reward.Structure, len(nodes))
+	for i, n := range nodes {
 		if n.upgraded {
 			pl := sext[n.uidx]
-			s = reward.NewStructure().Add(n.name+" AT", func(mk san.Marking) bool {
+			structs[i] = reward.NewStructure().Add(n.name+" AT", func(mk san.Marking) bool {
 				return mk.Get(pl) > 0
 			}, 1)
 		} else {
 			ckptPl, dbPl, extPl := ckpt[n.idx], db[n.idx], ext[n.idx]
-			s = reward.NewStructure().Add(n.name+" ckpt or AT", func(mk san.Marking) bool {
+			structs[i] = reward.NewStructure().Add(n.name+" ckpt or AT", func(mk san.Marking) bool {
 				return (mk.Get(ckptPl) > 0 && mk.Get(dbPl) == 0) ||
 					(mk.Get(extPl) > 0 && mk.Get(dbPl) == 1)
 			}, 1)
 		}
-		oh, err := reward.SteadyState(sp, s)
-		if err != nil {
-			return nil, fmt.Errorf("template: solving Gp overhead for %q: %w", n.name, err)
-		}
-		rhos[n.idx] = 1 - oh
+	}
+	// One steady-state solve of the joint chain serves every node.
+	oh, err := reward.SteadyState(sp, structs...)
+	if err != nil {
+		return nil, fmt.Errorf("template: solving Gp overheads: %w", err)
+	}
+	rhos := make([]float64, len(nodes))
+	for i, n := range nodes {
+		rhos[n.idx] = 1 - oh[i]
 	}
 	return &gpResult{Rhos: rhos, States: sp.NumStates(), Space: sp}, nil
 }

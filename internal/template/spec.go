@@ -102,8 +102,7 @@ type GuardSpec struct {
 // mapping onto statespace.Options. Zero fields keep the statespace
 // defaults.
 type Limits struct {
-	MaxStates         int `json:"max_states,omitempty"`
-	MaxVanishingDepth int `json:"max_vanishing_depth,omitempty"`
+	MaxStates int `json:"max_states,omitempty"`
 }
 
 // Spec is a declarative GSU scenario.
@@ -177,7 +176,7 @@ func (s *Spec) Validate() error {
 	default:
 		return specErr("unknown guard policy %q", s.Guard.Policy)
 	}
-	if s.Limits.MaxStates < 0 || s.Limits.MaxVanishingDepth < 0 {
+	if s.Limits.MaxStates < 0 {
 		return specErr("limits must be non-negative, got %+v", s.Limits)
 	}
 	_, err := s.resolve()
