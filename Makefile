@@ -65,7 +65,8 @@ modelcheck:
 # through internal/template (N ∈ {3,5,8} crossed with every guard
 # policy; every generated state space is model-checked before any
 # solve), sweep each instance, and collect the per-instance state-space
-# statistics into templates-stats.txt — the CI artifact. See
+# statistics into templates-stats.txt — the CI artifact — failing on any
+# difference from the committed scripts/templates-stats.golden. See
 # docs/TEMPLATES.md.
 templates:
 	bash scripts/templates_matrix.sh
@@ -112,11 +113,15 @@ bench-compare:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Fuzz the scenario-spec parser for 20 s: template.Parse must never panic
-# and must reject every bad spec with a typed robust.ErrInvariant. The
-# seed corpus alone runs in the plain `go test ./...`.
+# Fuzz the scenario-spec parser and the model generator behind it for
+# 20 s each: template.Parse must never panic and must reject every bad
+# spec with a typed robust.ErrInvariant; template.Build on an accepted
+# spec must never panic and may only fail with robust.ErrInvariant or
+# statespace.ErrStateSpaceTooLarge. The seed corpora alone run in the
+# plain `go test ./...`.
 fuzz-spec:
-	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/template
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/template
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildSpec$$' -fuzztime 20s ./internal/template
 
 # Regenerate every table/figure report to stdout.
 repro:

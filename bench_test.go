@@ -246,7 +246,7 @@ func BenchmarkAblationRecovery(b *testing.B) {
 }
 
 // BenchmarkExtensionStagger regenerates the simultaneous-vs-staggered
-// upgrade study on the 4-process RMNdN extension.
+// upgrade study on the 4-process normal-mode model (mdcd.BuildNd).
 func BenchmarkExtensionStagger(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.StaggerStudy(mdcd.DefaultParams(), 4)

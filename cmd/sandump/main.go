@@ -13,7 +13,7 @@
 //
 // With -spec, sandump renders one of the models generated from a
 // templated N-node scenario (internal/template, docs/TEMPLATES.md)
-// instead of a handwritten paper model: -part selects the guarded
+// instead of the paper's two-process models: -part selects the guarded
 // dependability model (gd), a normal-mode model (ndnew, ndold), or the
 // joint overhead model (gp, available when it was built exactly).
 package main

@@ -41,7 +41,7 @@ func TestDumpRMGd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"model RMGd", "P1Nctn", "detected", "absorbing states", "int_h"} {
+	for _, want := range []string{"model Gd:paper-baseline", "P1.ctnN", "detected", "absorbing states", "int_h"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rmgd dump missing %q", want)
 		}
@@ -53,7 +53,7 @@ func TestDumpRMGp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"model RMGp", "P1nExt", "1-rho1", "1-rho2"} {
+	for _, want := range []string{"model Gp:paper-baseline", "P1.sext", "1-rho1", "1-rho2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rmgp dump missing %q", want)
 		}
@@ -65,7 +65,7 @@ func TestDumpRMNdWithMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "model RMNd") {
+	if !strings.Contains(out, "model Nd(new):paper-baseline") {
 		t.Errorf("rmnd dump incomplete:\n%s", out)
 	}
 }
@@ -81,14 +81,14 @@ func TestDumpDotModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "digraph \"RMNd\"") {
+	if !strings.Contains(out, "digraph \"Nd(new):paper-baseline\"") {
 		t.Errorf("san dot output wrong:\n%s", out)
 	}
 	out, err = capture(t, func() error { return run([]string{"-model", "rmnd", "-dot", "space"}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "digraph \"RMNd-statespace\"") {
+	if !strings.Contains(out, "digraph \"Nd(new):paper-baseline-statespace\"") {
 		t.Errorf("space dot output wrong:\n%s", out)
 	}
 	if _, err := capture(t, func() error { return run([]string{"-dot", "bogus"}) }); err == nil {

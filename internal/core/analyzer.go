@@ -149,19 +149,20 @@ type ScenarioModels struct {
 }
 
 // parametricScenarioMaxStates gates the closed-form layer for scenario
-// analyzers: the spectral decomposition is validated for the handwritten
-// model family's small spaces, so only comparably small generated Gd
-// spaces attempt it. Larger scenarios always use the numeric engine.
+// analyzers: the spectral decomposition is validated for the paper
+// models' small spaces, so only comparably small generated Gd spaces
+// attempt it. Larger scenarios always use the numeric engine.
 const parametricScenarioMaxStates = 32
 
 // NewScenarioAnalyzer wraps template-generated constituent models into an
 // Analyzer. The models must already be generated and verified (the
 // template layer modelchecks every instance); this re-verifies them
 // before wiring the solver machinery, mirroring NewAnalyzerWithOptions.
+// On the paper spec it yields the same analyzer NewAnalyzer builds.
 //
 // The closed-form parametric layer is attempted with auto semantics
 // regardless of whether the caller asked for ParametricOn: generated
-// spaces can be far larger than the handwritten family the layer was
+// spaces can be far larger than the paper models the layer was
 // validated on, so an unavailable closed form degrades to the numeric
 // engine instead of failing construction.
 func NewScenarioAnalyzer(sm ScenarioModels, o Options) (*Analyzer, error) {
@@ -199,8 +200,8 @@ func NewScenarioAnalyzer(sm ScenarioModels, o Options) (*Analyzer, error) {
 	return finishAnalyzer(sm.Params, sm.Gd, sm.NdNew, sm.NdOld, append([]float64(nil), sm.Rhos...), mode, false)
 }
 
-// finishAnalyzer wires the solver machinery shared by the handwritten and
-// templated construction paths: the stacked RMNd pair, the φ-independent
+// finishAnalyzer wires the solver machinery shared by the paper and
+// scenario construction paths: the stacked RMNd pair, the φ-independent
 // P(X″_θ ∈ A″₁), and the optional closed-form parametric layer.
 func finishAnalyzer(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd, rhos []float64, mode ParametricMode, requirePar bool) (*Analyzer, error) {
 	ndPair, err := mdcd.NewRMNdPair(ndNew, ndOld)
@@ -390,7 +391,7 @@ func (a *Analyzer) parametricPoint(phi float64) (gdm mdcd.GdMeasures, pNewRem, p
 func (a *Analyzer) assemble(phi float64, policy GammaPolicy, gdm mdcd.GdMeasures, pNoFailNewRem, pNoFailOldRem float64) (Result, error) {
 	p := a.params
 	// A, the number of active processes, generalises the literal 2 of the
-	// paper's two-process Eqs. 5–21. With the handwritten models A == 2.0
+	// paper's two-process Eqs. 5–21. With the paper's models A == 2.0
 	// exactly, so every product below is bit-identical to the historical
 	// hardwired form.
 	active := float64(len(a.rhos))

@@ -21,9 +21,10 @@ type StaggerRow struct {
 // either all at once, or staggered one at a time with each fresh component
 // maturing to µ_old after its own sub-horizon survives.
 //
-// This exercises RMNdN, the n-process extension of the paper's normal-mode
-// model, and answers a question the single-cycle study cannot: whether the
-// risk of several upgrades compounds (it multiplies: simultaneous k-fold
+// This runs the normal-mode generator (mdcd.BuildNd) on n nodes, the
+// n-process extension of the paper's normal-mode model, and answers a
+// question the single-cycle study cannot: whether the risk of several
+// upgrades compounds (it multiplies: simultaneous k-fold
 // upgrades survive like exp(−k·µ_new·θ), staggering like
 // exp(−µ_new·θ) — independent of k).
 func StaggerStudy(p mdcd.Params, n int) ([]StaggerRow, error) {
@@ -67,8 +68,20 @@ func StaggerStudy(p mdcd.Params, n int) ([]StaggerRow, error) {
 	return rows, nil
 }
 
+// survival is P(no failure by t) of an n-process system in the normal
+// mode, process i manifesting faults at mus[i].
 func survival(p mdcd.Params, mus []float64, t float64) (float64, error) {
-	nd, err := mdcd.BuildRMNdN(p, mus)
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	sc := mdcd.Scenario{Name: "stagger", Nodes: make([]mdcd.Node, len(mus))}
+	for i, mu := range mus {
+		sc.Nodes[i] = mdcd.Node{
+			Name: fmt.Sprintf("P%d", i), Lambda: p.Lambda, PExt: p.PExt, MuOld: p.MuOld,
+			Upgraded: true, MuNew: mu,
+		}
+	}
+	nd, err := mdcd.BuildNd(sc, true)
 	if err != nil {
 		return 0, err
 	}
@@ -78,7 +91,7 @@ func survival(p mdcd.Params, mus []float64, t float64) (float64, error) {
 func init() {
 	register(Experiment{
 		ID:    "ext-stagger",
-		Title: "Extension: simultaneous vs staggered upgrades in a 4-process system (RMNdN)",
+		Title: "Extension: simultaneous vs staggered upgrades in a 4-process system",
 		Paper: "beyond the paper's 2-process study; direction of its reference [16] (general distributed systems)",
 		Run: func(w io.Writer) error {
 			p := mdcd.DefaultParams()

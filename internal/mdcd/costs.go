@@ -2,6 +2,7 @@ package mdcd
 
 import (
 	"guardedop/internal/reward"
+	"guardedop/internal/san"
 	"guardedop/internal/statespace"
 )
 
@@ -37,18 +38,18 @@ func (r *RMGp) SafeguardRates() (SafeguardRates, error) {
 	}
 	var out SafeguardRates
 	items := []struct {
-		activity string
+		activity *san.Activity
 		place    interface{ Index() int }
 		dst      *float64
 	}{
-		{"P1nAT", r.P1nExt, &out.P1nAT},
-		{"P2AT", r.P2Ext, &out.P2AT},
-		{"P2_CKPT", r.P1nInt, &out.P2Ckpt},
-		{"P1o_CKPT", r.P1oCheck, &out.P1oCkpt},
+		{r.P1nAT, r.P1nExt, &out.P1nAT},
+		{r.P2AT, r.P2Ext, &out.P2AT},
+		{r.P2Ckpt, r.P1nInt, &out.P2Ckpt},
+		{r.P1oCkpt, r.P1oCheck, &out.P1oCkpt},
 	}
 	structs := make([]*reward.ImpulseStructure, len(items))
 	for i, item := range items {
-		structs[i] = reward.NewImpulseStructure().AddWhen(item.activity, 1, lastStage(item.place))
+		structs[i] = reward.NewImpulseStructure().AddWhen(item.activity.Name(), 1, lastStage(item.place))
 	}
 	rates, err := reward.SteadyStateImpulseRate(r.Space, structs...)
 	if err != nil {

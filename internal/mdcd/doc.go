@@ -35,11 +35,21 @@
 //   - An erroneous external message is detected by AT with probability c
 //     (coverage); an undetected erroneous external message is an immediate
 //     system failure. Detection triggers recovery: P1old takes over, the
-//     system enters the normal mode, and the recovered pair {P1old, P2} is
-//     treated as clean except for prior contamination of P1old itself,
-//     which recovery cannot undo.
+//     system enters the normal mode, and rollback restarts the recovered
+//     pair {P1old, P2} clean (the paper's §4.1 approximation).
 //   - In the normal mode no AT or checkpointing is performed, so the first
 //     erroneous external message causes failure.
+//
+// One generator builds every model of the family. BuildGd, BuildNd and
+// SolveGp take a resolved Scenario — N nodes, the coverage c, the
+// safeguard rates α and β, the guard policy, its retry budget and a
+// state limit — after Montecchi et al.'s SAN Templates; internal/template
+// resolves JSON scenario specs into one. BuildRMGd, BuildRMGp and
+// BuildRMNd are thin wrappers: they run the generators on the paper's
+// two-process scenario (P1 upgraded, P2 plain, global policy) and bind
+// the place and activity handles the simulator and the cost accounting
+// read. Generated place names are scoped by node, so the paper's P1Nctn
+// is P1.ctnN and P1nExt is P1.sext; docs/MODELS.md maps them all.
 //
 // The constituent-measure reward structures of the paper's Tables 1 and 2
 // are provided by the Measures type.

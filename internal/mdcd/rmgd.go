@@ -1,19 +1,20 @@
 package mdcd
 
 import (
-	"fmt"
-
 	"guardedop/internal/reward"
 	"guardedop/internal/san"
 	"guardedop/internal/statespace"
 )
 
 // RMGd is the dependability reward model of the guarded-operation interval
-// (the paper's Figure 6), generated to a tangible state space.
+// (the paper's Figure 6), generated to a tangible state space by BuildGd.
 type RMGd struct {
 	Space *statespace.Space
 
-	// Places referenced by the Table 1 reward structures.
+	// Places referenced by the Table 1 reward structures and the
+	// simulator. The per-process contamination places are bound only on
+	// the paper's two-process model (BuildRMGd); they are nil on other
+	// scenarios.
 	P1Nctn   *san.Place // P1new state actually contaminated
 	P1Octn   *san.Place // P1old state actually contaminated
 	P2ctn    *san.Place // P2 state actually contaminated
@@ -59,7 +60,9 @@ func BuildRMGd(p Params) (*RMGd, error) {
 	return BuildRMGdWithOptions(p, GdOptions{})
 }
 
-// BuildRMGdWithOptions constructs RMGd with relaxed assumptions.
+// BuildRMGdWithOptions constructs RMGd with relaxed assumptions. It runs
+// the scenario generator (BuildGd) on the paper's two-process scenario
+// and binds the per-process places the simulator reads.
 //
 // The marking encodes the G-OP/normal mode switch through the detected
 // place: detected==0 means the system is still in the G-OP mode (P1new and
@@ -75,196 +78,13 @@ func BuildRMGdWithOptions(p Params, o GdOptions) (*RMGd, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if o.RecoverySuccess == 0 {
-		o.RecoverySuccess = 1
-	}
-	if o.RecoverySuccess < 0 || o.RecoverySuccess > 1 {
-		return nil, fmt.Errorf("mdcd: RecoverySuccess = %g out of (0,1]", o.RecoverySuccess)
-	}
-	rs := o.RecoverySuccess
-	m := san.NewModel("RMGd")
-	r := &RMGd{
-		P1Nctn:   m.AddPlace("P1Nctn", 0),
-		P1Octn:   m.AddPlace("P1Octn", 0),
-		P2ctn:    m.AddPlace("P2ctn", 0),
-		DirtyBit: m.AddPlace("dirty_bit", 0),
-		Detected: m.AddPlace("detected", 0),
-		Failure:  m.AddPlace("failure", 0),
-	}
-
-	alive := func(mk san.Marking) bool { return mk.Get(r.Failure) == 0 }
-	gop := func(mk san.Marking) bool { return alive(mk) && mk.Get(r.Detected) == 0 }
-	normal := func(mk san.Marking) bool { return alive(mk) && mk.Get(r.Detected) == 1 }
-
-	// recover brings the system into the normal mode after a successful
-	// detection: P1old takes over and the MDCD rollback/roll-forward
-	// machinery restores a consistent global state. Message-borne
-	// contamination always travels together with the dirty-bit view (a
-	// contaminated P1new or P2 is also considered potentially
-	// contaminated on the dominant paths), so rollback to the checkpoints
-	// taken before those receipts discards it. The paper makes the same
-	// approximation explicitly (§4.1): dormant error conditions surviving
-	// recovery are negligible, so the recovered pair {P1old, P2} restarts
-	// clean; fresh MuOld faults in the remainder of [0, φ] are what drive
-	// post-recovery failures.
-	recover := func(mk san.Marking) {
-		mk.Set(r.Detected, 1)
-		mk.Set(r.P1Nctn, 0) // P1new is retired; its state no longer matters
-		mk.Set(r.P1Octn, 0) // rollback restores P1old's checkpointed clean state
-		mk.Set(r.P2ctn, 0)  // rollback/roll-forward restores a valid P2 state
-		mk.Set(r.DirtyBit, 0)
-	}
-	// fail enters the absorbing failure state, zeroing bookkeeping places so
-	// failure states collapse to (at most) one per detected value.
-	fail := func(mk san.Marking) {
-		mk.Set(r.Failure, 1)
-		mk.Set(r.P1Nctn, 0)
-		mk.Set(r.P1Octn, 0)
-		mk.Set(r.P2ctn, 0)
-		mk.Set(r.DirtyBit, 0)
-	}
-
-	// --- Fault manifestations -------------------------------------------
-	// P1new manifests design faults only while it is in service (G-OP mode).
-	p1nfm := m.AddTimedActivity("P1Nfm", san.ConstRate(p.MuNew)).
-		AddInputGate("enabled", func(mk san.Marking) bool {
-			return gop(mk) && mk.Get(r.P1Nctn) == 0
-		}, nil)
-	p1nfm.AddCase(san.ConstProb(1)).AddOutputFunc(func(mk san.Marking) { mk.Set(r.P1Nctn, 1) })
-
-	// P1old exists throughout [0, φ]: shadow during G-OP, active after
-	// recovery. Its (old-version) faults manifest at MuOld in both modes.
-	p1ofm := m.AddTimedActivity("P1Ofm", san.ConstRate(p.MuOld)).
-		AddInputGate("enabled", func(mk san.Marking) bool {
-			return alive(mk) && mk.Get(r.P1Octn) == 0
-		}, nil)
-	p1ofm.AddCase(san.ConstProb(1)).AddOutputFunc(func(mk san.Marking) { mk.Set(r.P1Octn, 1) })
-
-	p2fm := m.AddTimedActivity("P2fm", san.ConstRate(p.MuOld)).
-		AddInputGate("enabled", func(mk san.Marking) bool {
-			return alive(mk) && mk.Get(r.P2ctn) == 0
-		}, nil)
-	p2fm.AddCase(san.ConstProb(1)).AddOutputFunc(func(mk san.Marking) { mk.Set(r.P2ctn, 1) })
-
-	// --- P1new message sending (G-OP mode only) -------------------------
-	// P1new is always considered potentially contaminated, so every external
-	// message undergoes AT. An erroneous external message (P1Nctn==1) is
-	// detected with probability c, otherwise the system fails. A clean
-	// external message passes AT and validates the confidence chain,
-	// resetting the shared dirty bit (gate P1Nok_ext of Figure 6).
-	// Internal messages go to P2: they mark P2 potentially contaminated and,
-	// if P1new's state is erroneous, actually contaminate P2.
-	p1nmsg := m.AddTimedActivity("P1Nmsg", san.ConstRate(p.Lambda)).
-		AddInputGate("gop", gop, nil)
-	p1nmsg.AddCase(func(mk san.Marking) float64 { // P1Nerr_ext, detected & recovered
-		if mk.Get(r.P1Nctn) == 1 {
-			return p.PExt * p.Coverage * rs
-		}
-		return 0
-	}).AddOutputFunc(recover)
-	p1nmsg.AddCase(func(mk san.Marking) float64 { // P1Nerr_ext, undetected or recovery failed
-		if mk.Get(r.P1Nctn) == 1 {
-			return p.PExt * (1 - p.Coverage*rs)
-		}
-		return 0
-	}).AddOutputFunc(fail)
-	p1nmsg.AddCase(func(mk san.Marking) float64 { // P1Nok_ext
-		if mk.Get(r.P1Nctn) == 0 {
-			return p.PExt
-		}
-		return 0
-	}).AddOutputFunc(func(mk san.Marking) { mk.Set(r.DirtyBit, 0) })
-	p1nmsg.AddCase(san.ConstProb(1 - p.PExt)). // internal to P2
-							AddOutputFunc(func(mk san.Marking) {
-			mk.Set(r.DirtyBit, 1)
-			if mk.Get(r.P1Nctn) == 1 {
-				mk.Set(r.P2ctn, 1)
-			}
-		})
-
-	// --- P2 message sending (both modes) --------------------------------
-	// G-OP mode: P2's external messages undergo AT only while P2 is
-	// considered potentially contaminated (dirty bit set). An erroneous
-	// external message from a P2 considered clean escapes validation and
-	// fails the system directly (the paper's scenario 3). Normal mode: no
-	// AT at all, so an erroneous external message always fails the system.
-	p2msg := m.AddTimedActivity("P2msg", san.ConstRate(p.Lambda)).
-		AddInputGate("alive", alive, nil)
-	p2msg.AddCase(func(mk san.Marking) float64 { // P2err_ext, detected & recovered
-		if gop(mk) && mk.Get(r.P2ctn) == 1 && mk.Get(r.DirtyBit) == 1 {
-			return p.PExt * p.Coverage * rs
-		}
-		return 0
-	}).AddOutputFunc(recover)
-	p2msg.AddCase(func(mk san.Marking) float64 { // P2err_ext, failure
-		switch {
-		case gop(mk) && mk.Get(r.P2ctn) == 1 && mk.Get(r.DirtyBit) == 1:
-			return p.PExt * (1 - p.Coverage*rs) // AT miss or failed recovery
-		case gop(mk) && mk.Get(r.P2ctn) == 1 && mk.Get(r.DirtyBit) == 0:
-			return p.PExt // no AT: P2 considered clean
-		case normal(mk) && mk.Get(r.P2ctn) == 1:
-			return p.PExt // no AT in normal mode
-		default:
-			return 0
-		}
-	}).AddOutputFunc(fail)
-	p2msg.AddCase(func(mk san.Marking) float64 { // P2ok_ext
-		if mk.Get(r.P2ctn) == 0 {
-			return p.PExt
-		}
-		return 0
-	}).AddOutputFunc(func(mk san.Marking) {
-		// A clean P2 external message passes AT (if one was required) and
-		// resets the confidence view, as gate P2ok_ext in Figure 6.
-		if mk.Get(r.Detected) == 0 {
-			mk.Set(r.DirtyBit, 0)
-		}
-	})
-	p2msg.AddCase(san.ConstProb(1 - p.PExt)). // internal
-							AddOutputFunc(func(mk san.Marking) {
-			if mk.Get(r.P2ctn) != 1 {
-				return
-			}
-			// G-OP: both P1 replicas receive P2's messages; normal mode:
-			// only P1old remains.
-			mk.Set(r.P1Octn, 1)
-			if mk.Get(r.Detected) == 0 {
-				mk.Set(r.P1Nctn, 1)
-			}
-		})
-
-	// --- P1old message sending (normal mode only) -----------------------
-	// During G-OP P1old's outgoing messages are suppressed (shadow mode),
-	// so they can neither fail the system nor propagate contamination.
-	// After recovery P1old is active and its messages behave like P2's in
-	// the normal mode.
-	p1omsg := m.AddTimedActivity("P1Omsg", san.ConstRate(p.Lambda)).
-		AddInputGate("normal", normal, nil)
-	p1omsg.AddCase(func(mk san.Marking) float64 { // erroneous external
-		if mk.Get(r.P1Octn) == 1 {
-			return p.PExt
-		}
-		return 0
-	}).AddOutputFunc(fail)
-	p1omsg.AddCase(func(mk san.Marking) float64 { // clean external
-		if mk.Get(r.P1Octn) == 0 {
-			return p.PExt
-		}
-		return 0
-	})
-	p1omsg.AddCase(san.ConstProb(1 - p.PExt)). // internal to P2
-							AddOutputFunc(func(mk san.Marking) {
-			if mk.Get(r.P1Octn) == 1 {
-				mk.Set(r.P2ctn, 1)
-			}
-		})
-
-	sp, err := statespace.Generate(m, statespace.Options{})
+	sc := paperScenario(p)
+	sc.RecoverySuccess = o.RecoverySuccess
+	r, g, err := buildGd(&sc)
 	if err != nil {
 		return nil, err
 	}
-	r.Space = sp
-	r.buildRateVectors()
+	r.P1Nctn, r.P1Octn, r.P2ctn = g.ctnN[0], g.ctnO[0], g.ctn[1]
 	return r, nil
 }
 

@@ -12,7 +12,9 @@ import (
 // which safeguard action, if any, each process is engaged in, and the
 // confidence (dirty-bit) dynamics that decide when an action is required.
 //
-// Process lifecycle encoded in the places:
+// Process lifecycle encoded in the places (the fields carry Figure 7's
+// names; the generated places are scoped by node, e.g. P1nExt is P1.sext
+// and P1nInt is P2.ckpt, owned by the checkpointing recipient P2):
 //
 //   - P1new alternates between P1nReady (making forward progress between
 //     message sends) and P1nExt (its external message undergoing an AT of
@@ -32,11 +34,10 @@ import (
 //     downstream of it (confidence-driven revalidation).
 //
 // Safeguard durations are exponential by default (the paper's assumption).
-// BuildRMGpErlang generalises them to Erlang-k with the same mean, encoded
-// by loading k stage tokens into the in-progress place and completing one
-// stage at rate k·α (or k·β); the reward predicates read "in progress" as
-// a non-zero stage count, which coincides with the paper's MARK(..)==1 for
-// k=1.
+// BuildRMGpErlang generalises them to Erlang-k with the same mean (see
+// buildGpJoint for the stage encoding); the reward predicates read "in
+// progress" as a non-zero stage count, which coincides with the paper's
+// MARK(..)==1 for k=1.
 type RMGp struct {
 	Space *statespace.Space
 
@@ -52,6 +53,11 @@ type RMGp struct {
 	P1oCheck *san.Place // stage tokens of P1old's checkpoint in progress
 	P1oDB    *san.Place // dirty bit: P1old considered potentially contaminated
 	P2DB     *san.Place // dirty bit: P2 considered potentially contaminated
+
+	// The four safeguard activities behind SafeguardRates: the ATs on
+	// P1new's and P2's external messages and the checkpoints of P2 and
+	// P1old.
+	P1nAT, P2AT, P2Ckpt, P1oCkpt *san.Activity
 }
 
 // BuildRMGp constructs and generates the RMGp model with exponential
@@ -63,7 +69,8 @@ func BuildRMGp(p Params) (*RMGp, error) {
 // BuildRMGpErlang constructs RMGp with Erlang-`stages` AT and checkpoint
 // durations of unchanged mean — an ablation of the exponential-duration
 // assumption. stages must be in [1, 16] (the state space grows linearly
-// with it).
+// with it). It runs the joint Gp generator on the paper's two-process
+// scenario and binds the places and activities of Figure 7.
 func BuildRMGpErlang(p Params, stages int) (*RMGp, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -71,131 +78,31 @@ func BuildRMGpErlang(p Params, stages int) (*RMGp, error) {
 	if stages < 1 || stages > 16 {
 		return nil, fmt.Errorf("mdcd: Erlang stages = %d out of [1, 16]", stages)
 	}
-	m := san.NewModel("RMGp")
-	r := &RMGp{
-		Stages:   stages,
-		P1nReady: m.AddPlace("P1nReady", 1),
-		P1nExt:   m.AddPlace("P1nExt", 0),
-		P1nInt:   m.AddPlace("P1nInt", 0),
-		P2Ready:  m.AddPlace("P2Ready", 1),
-		P2Ext:    m.AddPlace("P2Ext", 0),
-		P1oCheck: m.AddPlace("P1oCheck", 0),
-		P1oDB:    m.AddPlace("P1oDB", 0),
-		P2DB:     m.AddPlace("P2DB", 0),
-	}
-	k := float64(stages)
-
-	// --- P1new sends a message ------------------------------------------
-	p1nMsg := m.AddTimedActivity("P1nMsg", san.ConstRate(p.Lambda)).
-		AddInputArc(r.P1nReady, 1)
-	// External: always AT'd (P1new is always potentially contaminated).
-	p1nMsg.AddCase(san.ConstProb(p.PExt)).AddOutputArc(r.P1nExt, stages)
-	// Internal to a clean P2 with no checkpoint already pending: P2 must
-	// checkpoint before processing (MDCD rule). The sender continues.
-	p1nMsg.AddCase(func(mk san.Marking) float64 {
-		if mk.Get(r.P2DB) == 0 && mk.Get(r.P1nInt) == 0 {
-			return 1 - p.PExt
-		}
-		return 0
-	}).AddOutputArc(r.P1nReady, 1).AddOutputArc(r.P1nInt, stages)
-	// Internal to an already-dirty P2 (or one already checkpointing): the
-	// checkpoint is skipped (instantaneous activity P1oSkipCKPT/P2SkipCKPT
-	// of Figure 7, folded into this case).
-	p1nMsg.AddCase(func(mk san.Marking) float64 {
-		if mk.Get(r.P2DB) == 1 || mk.Get(r.P1nInt) > 0 {
-			return 1 - p.PExt
-		}
-		return 0
-	}).AddOutputArc(r.P1nReady, 1)
-
-	// P1new's AT progresses stage by stage; the final stage completes the
-	// validation: P1new resumes, and the validated state clears the
-	// downstream confidence chain ({P2, P1old} views).
-	p1nAT := m.AddTimedActivity("P1nAT", san.ConstRate(k*p.Alpha)).
-		AddInputArc(r.P1nExt, 1)
-	p1nAT.AddCase(san.ConstProb(1)).AddOutputFunc(func(mk san.Marking) {
-		if mk.Get(r.P1nExt) > 0 {
-			return // stages remain
-		}
-		mk.Set(r.P1nReady, 1)
-		mk.Set(r.P2DB, 0)
-		mk.Set(r.P1oDB, 0)
-	})
-
-	// P2's checkpoint (for P1new's internal message) progresses stage by
-	// stage; completion makes P2 potentially contaminated.
-	p2Ckpt := m.AddTimedActivity("P2_CKPT", san.ConstRate(k*p.Beta)).
-		AddInputArc(r.P1nInt, 1)
-	p2Ckpt.AddCase(san.ConstProb(1)).AddOutputFunc(func(mk san.Marking) {
-		if mk.Get(r.P1nInt) > 0 {
-			return
-		}
-		mk.Set(r.P2DB, 1)
-	})
-
-	// --- P2 sends a message ----------------------------------------------
-	// Disabled while P2 is establishing a checkpoint.
-	p2Msg := m.AddTimedActivity("P2Msg", san.ConstRate(p.Lambda)).
-		AddInputArc(r.P2Ready, 1).
-		AddInputGate("notCheckpointing", func(mk san.Marking) bool {
-			return mk.Get(r.P1nInt) == 0
-		}, nil)
-	// External while dirty: AT required.
-	p2Msg.AddCase(func(mk san.Marking) float64 {
-		if mk.Get(r.P2DB) == 1 {
-			return p.PExt
-		}
-		return 0
-	}).AddOutputArc(r.P2Ext, stages)
-	// External while clean: no AT (instantaneous P2SkipAT of Figure 7).
-	p2Msg.AddCase(func(mk san.Marking) float64 {
-		if mk.Get(r.P2DB) == 0 {
-			return p.PExt
-		}
-		return 0
-	}).AddOutputArc(r.P2Ready, 1)
-	// Internal from a dirty P2 to a clean P1old: P1old must checkpoint.
-	p2Msg.AddCase(func(mk san.Marking) float64 {
-		if mk.Get(r.P2DB) == 1 && mk.Get(r.P1oDB) == 0 && mk.Get(r.P1oCheck) == 0 {
-			return 1 - p.PExt
-		}
-		return 0
-	}).AddOutputArc(r.P2Ready, 1).AddOutputArc(r.P1oCheck, stages)
-	// Internal otherwise: no checkpoint needed.
-	p2Msg.AddCase(func(mk san.Marking) float64 {
-		if mk.Get(r.P2DB) == 0 || mk.Get(r.P1oDB) == 1 || mk.Get(r.P1oCheck) > 0 {
-			return 1 - p.PExt
-		}
-		return 0
-	}).AddOutputArc(r.P2Ready, 1)
-
-	// P2's AT: final stage completion resumes P2 and clears the dirty bits
-	// derived from its (validated) state.
-	p2AT := m.AddTimedActivity("P2AT", san.ConstRate(k*p.Alpha)).
-		AddInputArc(r.P2Ext, 1)
-	p2AT.AddCase(san.ConstProb(1)).AddOutputFunc(func(mk san.Marking) {
-		if mk.Get(r.P2Ext) > 0 {
-			return
-		}
-		mk.Set(r.P2Ready, 1)
-		mk.Set(r.P2DB, 0)
-		mk.Set(r.P1oDB, 0)
-	})
-
-	// P1old's checkpoint.
-	p1oCkpt := m.AddTimedActivity("P1o_CKPT", san.ConstRate(k*p.Beta)).
-		AddInputArc(r.P1oCheck, 1)
-	p1oCkpt.AddCase(san.ConstProb(1)).AddOutputFunc(func(mk san.Marking) {
-		if mk.Get(r.P1oCheck) > 0 {
-			return
-		}
-		mk.Set(r.P1oDB, 1)
-	})
-
-	sp, err := statespace.Generate(m, statespace.Options{})
+	sc := paperScenario(p)
+	sc.Stages = stages
+	nodes, err := sc.index()
 	if err != nil {
 		return nil, err
 	}
-	r.Space = sp
-	return r, nil
+	j, err := buildGpJoint(&sc, nodes, 0)
+	if err != nil {
+		return nil, err
+	}
+	// P1 is upgraded node 0, P2 plain node 1.
+	return &RMGp{
+		Space:    j.space,
+		Stages:   stages,
+		P1nReady: j.sready[0],
+		P1nExt:   j.sext[0],
+		P1nInt:   j.ckpt[1],
+		P2Ready:  j.ready[1],
+		P2Ext:    j.ext[1],
+		P1oCheck: j.ocheck[0],
+		P1oDB:    j.odb[0],
+		P2DB:     j.db[1],
+		P1nAT:    j.sat[0],
+		P2AT:     j.at[1],
+		P2Ckpt:   j.ckptAct[1],
+		P1oCkpt:  j.ockpt[0],
+	}, nil
 }

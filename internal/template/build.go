@@ -51,31 +51,28 @@ func Build(ctx context.Context, spec *Spec) (*Instance, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	nodes, err := spec.resolve()
+	sc, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
-	opts := statespace.Options{MaxStates: spec.Limits.MaxStates}
-
-	gd, err := buildGd(spec, nodes, opts)
+	gd, err := mdcd.BuildGd(sc)
 	if err != nil {
 		return nil, err
 	}
-	ndNew, err := buildNd(spec, nodes, true, opts)
+	ndNew, err := mdcd.BuildNd(sc, true)
 	if err != nil {
 		return nil, err
 	}
-	ndOld, err := buildNd(spec, nodes, false, opts)
+	ndOld, err := mdcd.BuildNd(sc, false)
 	if err != nil {
 		return nil, err
 	}
-	gp, err := buildGp(spec, nodes)
+	gp, err := mdcd.SolveGp(sc)
 	if err != nil {
 		return nil, err
 	}
 
-	// Model-check every generated chain before anything is solved on it:
-	// generated models earn the same scrutiny the handwritten ones get.
+	// Model-check every generated chain before anything is solved on it.
 	checks := []struct {
 		name string
 		sp   *statespace.Space

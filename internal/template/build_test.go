@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"guardedop/internal/core"
+	"guardedop/internal/mdcd"
 	"guardedop/internal/obs"
 	"guardedop/internal/robust"
+	"guardedop/internal/statespace"
 	"guardedop/internal/template"
 )
 
@@ -273,5 +277,202 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if legacy.Limits.MaxStates != 4096 {
 		t.Fatalf("legacy limits = %+v, want max_states 4096", legacy.Limits)
+	}
+}
+
+// sameSpace reports the first difference between two generated state
+// spaces: place names, markings in state order, initial vector and
+// generator entries, all compared exactly.
+func sameSpace(a, b *statespace.Space) error {
+	pa, pb := a.Model.Places(), b.Model.Places()
+	if len(pa) != len(pb) {
+		return fmt.Errorf("place counts %d vs %d", len(pa), len(pb))
+	}
+	for i := range pa {
+		if pa[i].Name() != pb[i].Name() {
+			return fmt.Errorf("place %d: %q vs %q", i, pa[i].Name(), pb[i].Name())
+		}
+	}
+	if a.NumStates() != b.NumStates() {
+		return fmt.Errorf("state counts %d vs %d", a.NumStates(), b.NumStates())
+	}
+	for i := range a.States {
+		if !slices.Equal(a.States[i], b.States[i]) {
+			return fmt.Errorf("state %d: %v vs %v", i, a.States[i], b.States[i])
+		}
+		if a.Initial[i] != b.Initial[i] {
+			return fmt.Errorf("initial[%d]: %v vs %v", i, a.Initial[i], b.Initial[i])
+		}
+	}
+	return sameGenerator(a, b)
+}
+
+// sameGenerator reports the first generator row where two spaces with
+// the same state count differ.
+func sameGenerator(a, b *statespace.Space) error {
+	type entry struct {
+		c int
+		v float64
+	}
+	ga, gb := a.Chain.Generator(), b.Chain.Generator()
+	for r := 0; r < a.NumStates(); r++ {
+		var ra, rb []entry
+		ga.Row(r, func(c int, v float64) { ra = append(ra, entry{c, v}) })
+		gb.Row(r, func(c int, v float64) { rb = append(rb, entry{c, v}) })
+		if !slices.Equal(ra, rb) {
+			return fmt.Errorf("generator row %d: %v vs %v", r, ra, rb)
+		}
+	}
+	return nil
+}
+
+// TestOneModelSource: the mdcd.Build* entry points and template.Build on
+// the paper spec run the same generator, so at the Table 3 baseline with
+// α=β=2500 and θ=5000 they produce identical chains, and the two analyzer
+// constructors give bitwise-equal Y(φ) over the 51-point grid.
+func TestOneModelSource(t *testing.T) {
+	p := mdcd.DefaultParams()
+	p.Alpha, p.Beta, p.Theta = 2500, 2500, 5000
+	spec := template.PaperSpec()
+	spec.Alpha, spec.Beta, spec.Theta = p.Alpha, p.Beta, p.Theta
+	if spec.Params() != p {
+		t.Fatalf("spec params %+v, want %+v", spec.Params(), p)
+	}
+	inst, scen := scenarioAnalyzer(t, spec, core.Options{})
+
+	gd, err := mdcd.BuildRMGd(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, err := mdcd.BuildRMGp(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndNew, err := mdcd.BuildRMNd(p, p.MuNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndOld, err := mdcd.BuildRMNd(p, p.MuOld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		built, gen *statespace.Space
+	}{
+		{"Gd", gd.Space, inst.Gd.Space},
+		{"Gp", gp.Space, inst.GpSpace},
+		{"Nd(mu_new)", ndNew.Space, inst.NdNew.Space},
+		{"Nd(mu_old)", ndOld.Space, inst.NdOld.Space},
+	} {
+		if c.gen == nil {
+			t.Fatalf("%s: template built no space", c.name)
+		}
+		if err := sameSpace(c.built, c.gen); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+
+	hand, err := core.NewAnalyzer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phi := range core.SweepGrid(p.Theta, 50) {
+		want, err := hand.Evaluate(phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := scen.Evaluate(phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Y != want.Y {
+			t.Errorf("Y(%g): scenario %.17g, NewAnalyzer %.17g", phi, got.Y, want.Y)
+		}
+	}
+}
+
+// TestGdPolicyReductions: the alternative guard policies degenerate to
+// the global policy at their trivial parameter points, state for state:
+// the variant's Gd visits the global policy's markings in the same order
+// with the same generator, its extra policy place a function of them —
+// retired tracks detected (except in collapsed failure states, where
+// fail resets it), and the zero retry budget stays zero.
+func TestGdPolicyReductions(t *testing.T) {
+	global, err := template.Build(context.Background(), template.PaperSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := global.Gd.Space
+	for _, tc := range []struct {
+		name  string
+		guard template.GuardSpec
+		extra string
+	}{
+		{"per-node single upgrade", template.GuardSpec{Policy: template.PolicyPerNode}, "P1.retired"},
+		{"abort-retry zero budget", template.GuardSpec{Policy: template.PolicyAbortRetry}, "retry"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := template.PaperSpec()
+			spec.Guard = tc.guard
+			inst, err := template.Build(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := inst.Gd.Space
+			if v.NumStates() != g.NumStates() {
+				t.Fatalf("states: variant %d, global %d", v.NumStates(), g.NumStates())
+			}
+			extra := v.Model.PlaceByName(tc.extra)
+			if extra == nil {
+				t.Fatalf("variant lacks place %q", tc.extra)
+			}
+			for i, mk := range g.States {
+				for _, pl := range g.Model.Places() {
+					if got := v.States[i].Get(v.Model.PlaceByName(pl.Name())); got != mk.Get(pl) {
+						t.Fatalf("state %d place %s: variant %d, global %d", i, pl.Name(), got, mk.Get(pl))
+					}
+				}
+				want := 0
+				if tc.guard.Policy == template.PolicyPerNode && mk.Get(global.Gd.Failure) == 0 {
+					want = mk.Get(global.Gd.Detected)
+				}
+				if got := v.States[i].Get(extra); got != want {
+					t.Fatalf("state %d: %s = %d, want %d", i, tc.extra, got, want)
+				}
+			}
+			if err := sameGenerator(g, v); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestGpMeanFieldClose sanity-checks the mean-field fallback against the
+// exact joint solution on the canonical scenario: an approximation, but
+// it must land in the right neighbourhood (the overheads are small, so a
+// loose relative tolerance on 1-ρ is the meaningful comparison). A state
+// limit below the joint Gp's 36 states (but above Gd's 22) forces the
+// fallback.
+func TestGpMeanFieldClose(t *testing.T) {
+	joint, err := template.Build(context.Background(), template.PaperSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := template.PaperSpec()
+	spec.Limits.MaxStates = 30
+	mf, err := template.Build(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joint.GpMeanField || !mf.GpMeanField {
+		t.Fatalf("mean-field flags: joint %v, limited %v", joint.GpMeanField, mf.GpMeanField)
+	}
+	for i := range joint.Rhos {
+		ohJoint, ohMF := 1-joint.Rhos[i], 1-mf.Rhos[i]
+		if math.Abs(ohJoint-ohMF) > 0.25*ohJoint {
+			t.Errorf("node %d overhead: joint %.6g, mean-field %.6g (>25%% apart)",
+				i, ohJoint, ohMF)
+		}
 	}
 }

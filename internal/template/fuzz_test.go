@@ -1,6 +1,7 @@
 package template_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"guardedop/internal/robust"
+	"guardedop/internal/statespace"
 	"guardedop/internal/template"
 )
 
@@ -22,22 +24,7 @@ const legacyLimitsSpec = `{"name":"legacy","theta":10000,"coverage":0.95,"alpha"
 // panic, every rejection must be a typed robust.ErrInvariant, and every
 // accepted spec must hash (the serving layer's cache key).
 func FuzzParseSpec(f *testing.F) {
-	paths, err := filepath.Glob("../../examples/scenarios/*.json")
-	if err != nil || len(paths) == 0 {
-		f.Fatalf("scenario seeds: %v (found %d)", err, len(paths))
-	}
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	paper, err := json.Marshal(template.PaperSpec())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(paper)
+	addSpecSeeds(f)
 	f.Add([]byte(legacyLimitsSpec))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := template.Parse(data)
@@ -51,4 +38,68 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatal("accepted spec has an empty hash")
 		}
 	})
+}
+
+// fuzzMaxStates caps the state limit of every spec FuzzBuildSpec builds,
+// so one input cannot spend the fuzzing budget on a huge generation.
+const fuzzMaxStates = 2048
+
+// FuzzBuildSpec feeds every spec Parse accepts to template.Build — the
+// path a POST /v1/scenario/curve body takes into the model generator. It
+// must never panic, and every error must be typed: a robust.ErrInvariant
+// rejection or a statespace.ErrStateSpaceTooLarge limit.
+func FuzzBuildSpec(f *testing.F) {
+	addSpecSeeds(f)
+	for _, policy := range template.Policies() {
+		spec := template.PaperSpec()
+		spec.Name = "paper-" + string(policy)
+		spec.Guard.Policy = policy
+		if policy == template.PolicyAbortRetry {
+			spec.Guard.Retries = 1
+		}
+		addSpec(f, spec)
+	}
+	// Node names that would collide if per-node places were not scoped
+	// by their node ("retired.ctn" both ways).
+	collide := template.PaperSpec()
+	collide.Guard.Policy = template.PolicyPerNode
+	collide.Nodes[0].Name, collide.Nodes[1].Name = "ctn", "retired"
+	addSpec(f, collide)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := template.Parse(data)
+		if err != nil {
+			return
+		}
+		if spec.Limits.MaxStates == 0 || spec.Limits.MaxStates > fuzzMaxStates {
+			spec.Limits.MaxStates = fuzzMaxStates
+		}
+		if _, err := template.Build(context.Background(), spec); err != nil &&
+			!errors.Is(err, robust.ErrInvariant) && !errors.Is(err, statespace.ErrStateSpaceTooLarge) {
+			t.Fatalf("Build error %v wraps neither robust.ErrInvariant nor statespace.ErrStateSpaceTooLarge", err)
+		}
+	})
+}
+
+// addSpecSeeds seeds f with the example scenarios and the paper spec.
+func addSpecSeeds(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("scenario seeds: %v (found %d)", err, len(paths))
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	addSpec(f, template.PaperSpec())
+}
+
+func addSpec(f *testing.F, spec *template.Spec) {
+	data, err := json.Marshal(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 }

@@ -1,21 +1,20 @@
-// Package template generates the GSU (guarded software-upgrade) model
-// family from declarative scenario specs: N nodes, multiple simultaneous
-// upgrades, alternative guard policies, and heterogeneous per-node rates.
+// Package template describes GSU (guarded software-upgrade) scenarios as
+// declarative JSON specs: N nodes, multiple simultaneous upgrades,
+// alternative guard policies, and heterogeneous per-node rates.
 //
-// The paper's study hardwires one scenario — two processes, one upgraded,
-// a global guard duration φ — into the handwritten internal/mdcd models.
-// Following Montecchi et al.'s SAN Templates approach, this package
-// parameterizes that structure: a Spec describes the scenario, Build
-// mechanically regenerates the three constituent reward models (the
-// guarded-operation dependability model Gd, the performance-overhead
-// model Gp, and the normal-mode models Nd), verifies every generated
-// state space with internal/modelcheck, and hands the results to
-// internal/core, whose translation layer (Eqs. 5–21 generalized to N
-// active processes) runs unchanged.
+// Following Montecchi et al.'s SAN Templates approach, the three
+// constituent reward models (the guarded-operation dependability model
+// Gd, the performance-overhead model Gp, and the normal-mode models Nd)
+// are generated from a resolved scenario by internal/mdcd — the one
+// generator of the model family. This package parses, validates and
+// resolves a Spec into that scenario; Build runs the generators,
+// verifies every generated state space with internal/modelcheck, and
+// hands the results to internal/core, whose translation layer (Eqs. 5–21
+// generalized to N active processes) runs unchanged.
 //
-// The canonical two-node spec (PaperSpec) regenerates state spaces
-// isomorphic to the handwritten models and reproduces the paper's Y(φ)
-// curve to 1e-9 relative error; the equivalence tests pin both.
+// The canonical two-node spec (PaperSpec) resolves to the paper's
+// scenario, so building it yields the paper's models — the same chains
+// mdcd.BuildRMGd, BuildRMGp and BuildRMNd return.
 package template
 
 import (
@@ -31,35 +30,19 @@ import (
 	"guardedop/internal/robust"
 )
 
-// GuardPolicy names how detections end (or restart) the guarded
-// operation. See docs/TEMPLATES.md for the catalog.
-type GuardPolicy string
+// GuardPolicy and its constants alias the generator's policy enum, so a
+// spec's guard.policy field is the mdcd value itself.
+type GuardPolicy = mdcd.GuardPolicy
 
 const (
-	// PolicyGlobal is the paper's policy: one detection anywhere retires
-	// every upgraded component and drops the whole system to the proven
-	// configuration for the rest of [0, θ].
-	PolicyGlobal GuardPolicy = "global"
-	// PolicyPerNode retires only the upgraded node whose own external
-	// message was caught; a detection attributed to the confidence chain
-	// (a contaminated plain node) cannot be localised and retires every
-	// remaining suspect. The G-OP mode ends when all suspects are retired.
-	PolicyPerNode GuardPolicy = "per-node"
-	// PolicyStaged rolls the upgrades out one suspect at a time: only one
-	// upgraded node is under guard at once, and it is committed (trusted,
-	// AT switched off) when one of its external messages passes the AT.
-	// A detection aborts the whole rollout.
-	PolicyStaged GuardPolicy = "staged"
-	// PolicyAbortRetry gives the upgrade a retry budget: a detection
-	// rolls the system back but keeps the suspects in service until the
-	// budget is exhausted, after which it behaves like PolicyGlobal.
-	PolicyAbortRetry GuardPolicy = "abort-retry"
+	PolicyGlobal     = mdcd.PolicyGlobal
+	PolicyPerNode    = mdcd.PolicyPerNode
+	PolicyStaged     = mdcd.PolicyStaged
+	PolicyAbortRetry = mdcd.PolicyAbortRetry
 )
 
 // Policies lists every supported guard policy.
-func Policies() []GuardPolicy {
-	return []GuardPolicy{PolicyGlobal, PolicyPerNode, PolicyStaged, PolicyAbortRetry}
-}
+func Policies() []GuardPolicy { return mdcd.Policies() }
 
 // NodeDefaults carries the per-node rate defaults a NodeSpec may override.
 type NodeDefaults struct {
@@ -122,18 +105,6 @@ type Spec struct {
 	Limits   Limits       `json:"limits,omitempty"`
 }
 
-// node is one resolved node: defaults applied, indices assigned.
-type node struct {
-	name     string
-	lambda   float64
-	pext     float64
-	muOld    float64
-	upgraded bool
-	muNew    float64
-	idx      int // position among all nodes
-	uidx     int // position among upgraded nodes; -1 for plain nodes
-}
-
 var nodeNameRe = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9_-]*$`)
 
 func specErr(format string, args ...any) error {
@@ -183,66 +154,68 @@ func (s *Spec) Validate() error {
 	return err
 }
 
-// resolve applies defaults and validates the node list.
-func (s *Spec) resolve() ([]node, error) {
-	if len(s.Nodes) < 2 {
-		return nil, specErr("scenario needs at least 2 nodes, got %d", len(s.Nodes))
+// resolve applies defaults, validates the node list and returns the
+// resolved scenario the mdcd generators take.
+func (s *Spec) resolve() (mdcd.Scenario, error) {
+	sc := mdcd.Scenario{
+		Name:      s.Name,
+		Coverage:  s.Coverage,
+		Alpha:     s.Alpha,
+		Beta:      s.Beta,
+		Policy:    s.Policy(),
+		Retries:   s.Guard.Retries,
+		MaxStates: s.Limits.MaxStates,
 	}
-	nodes := make([]node, len(s.Nodes))
+	if len(s.Nodes) < 2 {
+		return sc, specErr("scenario needs at least 2 nodes, got %d", len(s.Nodes))
+	}
+	sc.Nodes = make([]mdcd.Node, len(s.Nodes))
 	seen := make(map[string]bool, len(s.Nodes))
 	upgrades := 0
 	for i, ns := range s.Nodes {
 		if !nodeNameRe.MatchString(ns.Name) {
-			return nil, specErr("node %d name %q is not a valid identifier", i, ns.Name)
+			return sc, specErr("node %d name %q is not a valid identifier", i, ns.Name)
 		}
 		if seen[ns.Name] {
-			return nil, specErr("duplicate node name %q", ns.Name)
+			return sc, specErr("duplicate node name %q", ns.Name)
 		}
 		seen[ns.Name] = true
-		n := node{
-			name:   ns.Name,
-			lambda: ns.Lambda,
-			pext:   ns.PExt,
-			muOld:  ns.MuOld,
-			idx:    i,
-			uidx:   -1,
+		n := mdcd.Node{Name: ns.Name, Lambda: ns.Lambda, PExt: ns.PExt, MuOld: ns.MuOld}
+		if n.Lambda == 0 {
+			n.Lambda = s.Defaults.Lambda
 		}
-		if n.lambda == 0 {
-			n.lambda = s.Defaults.Lambda
+		if n.PExt == 0 {
+			n.PExt = s.Defaults.PExt
 		}
-		if n.pext == 0 {
-			n.pext = s.Defaults.PExt
+		if n.MuOld == 0 {
+			n.MuOld = s.Defaults.MuOld
 		}
-		if n.muOld == 0 {
-			n.muOld = s.Defaults.MuOld
+		if err := checkRate(fmt.Sprintf("node %q lambda", n.Name), n.Lambda, false); err != nil {
+			return sc, err
 		}
-		if err := checkRate(fmt.Sprintf("node %q lambda", n.name), n.lambda, false); err != nil {
-			return nil, err
+		if math.IsNaN(n.PExt) || n.PExt <= 0 || n.PExt >= 1 {
+			return sc, specErr("node %q p_ext = %g out of (0, 1)", n.Name, n.PExt)
 		}
-		if math.IsNaN(n.pext) || n.pext <= 0 || n.pext >= 1 {
-			return nil, specErr("node %q p_ext = %g out of (0, 1)", n.name, n.pext)
-		}
-		if err := checkRate(fmt.Sprintf("node %q mu_old", n.name), n.muOld, true); err != nil {
-			return nil, err
+		if err := checkRate(fmt.Sprintf("node %q mu_old", n.Name), n.MuOld, true); err != nil {
+			return sc, err
 		}
 		if ns.Upgrade != nil {
-			n.upgraded = true
-			n.muNew = ns.Upgrade.MuNew
-			n.uidx = upgrades
+			n.Upgraded = true
+			n.MuNew = ns.Upgrade.MuNew
 			upgrades++
-			if err := checkRate(fmt.Sprintf("node %q mu_new", n.name), n.muNew, true); err != nil {
-				return nil, err
+			if err := checkRate(fmt.Sprintf("node %q mu_new", n.Name), n.MuNew, true); err != nil {
+				return sc, err
 			}
 		}
-		nodes[i] = n
+		sc.Nodes[i] = n
 	}
 	if upgrades == 0 {
-		return nil, specErr("scenario has no upgraded node")
+		return sc, specErr("scenario has no upgraded node")
 	}
-	if upgrades == len(nodes) {
-		return nil, specErr("scenario needs at least one plain (non-upgraded) node")
+	if upgrades == len(sc.Nodes) {
+		return sc, specErr("scenario needs at least one plain (non-upgraded) node")
 	}
-	return nodes, nil
+	return sc, nil
 }
 
 // Params derives the translation-layer parameter set the analyzer needs:
@@ -316,8 +289,8 @@ func Load(path string) (*Spec, error) {
 
 // PaperSpec returns the canonical scenario: the paper's Table 3 baseline
 // as a template — two logical nodes, the first upgraded, global guard
-// policy. Building it regenerates state spaces isomorphic to the
-// handwritten internal/mdcd models.
+// policy. It resolves to the same scenario mdcd.BuildRMGd, BuildRMGp and
+// BuildRMNd generate, so building it yields the paper's models.
 func PaperSpec() *Spec {
 	p := mdcd.DefaultParams()
 	return &Spec{

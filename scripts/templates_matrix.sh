@@ -4,7 +4,9 @@
 # build each instance through internal/template — every generated state
 # space is model-checked before any solve — run a short sweep over it,
 # and collect the per-instance generated-state statistics into a single
-# artifact file for CI. See docs/TEMPLATES.md.
+# artifact file for CI. The statistics must match the committed
+# scripts/templates-stats.golden line for line; any difference fails the
+# gate. See docs/TEMPLATES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,3 +61,9 @@ done
 echo
 echo "state-space statistics ($out):"
 cat "$out"
+
+# Pin the generator's N × policy state counts.
+if ! diff -u scripts/templates-stats.golden "$out"; then
+	echo "templates: state-space statistics differ from scripts/templates-stats.golden" >&2
+	exit 1
+fi
