@@ -30,8 +30,9 @@
 // The -modelcheck mode runs only the static model verifier
 // (internal/modelcheck) over the constituent models RMGd, RMGp and both
 // RMNd instantiations built from the given parameters: generator
-// validity, reachability, absorbing/ergodic structure, and reward-bound
-// checks, all before any solve (docs/STATIC_ANALYSIS.md).
+// validity, reachability and absorbing/ergodic structure, checked by the
+// build step every analyzer uses before anything is solved on a model,
+// plus the Table 1/2 reward-bound checks (docs/STATIC_ANALYSIS.md).
 //
 // Exit codes: 0 success; 1 usage or runtime error; 2 self-check or
 // modelcheck failure; 3 partial success (-all -keep-going with some
@@ -110,7 +111,7 @@ func run(args []string) (err error) {
 		keepGoing   = fs.Bool("keep-going", false, "skip failed experiments or sweep points and report them at the end")
 		parallel    = fs.Int("parallel", 0, "worker-pool size for batch evaluation (0 = all cores, 1 = sequential); results are identical at every setting")
 		metricsVal  = fs.String("metrics", "", "dump the run's counters and stage aggregates to stderr when it ends: \"text\", \"json\" or \"prom\"")
-		parametricF = fs.String("parametric", "auto", "closed-form parametric fast path for -sweep: \"auto\" (numeric fallback outside the validated domain), \"on\" (fail if unavailable), \"off\" (numeric engine only)")
+		parametricF = fs.String("parametric", "auto", "closed-form parametric fast path for -sweep: \"auto\" (numeric fallback outside the validated domain) or \"off\" (numeric engine only)")
 		traceOut    = fs.String("trace", "", "write a JSON trace and run manifest to this file (spans, counters, cache stats; see docs/OBSERVABILITY.md)")
 		pprofSpec   = fs.String("pprof", "", "profiling: \"cpu[=file]\", \"mem[=file]\", or a host:port to serve net/http/pprof")
 
@@ -282,12 +283,10 @@ func parseParametricMode(v string) (core.ParametricMode, error) {
 	switch v {
 	case "auto":
 		return core.ParametricAuto, nil
-	case "on":
-		return core.ParametricOn, nil
 	case "off":
 		return core.ParametricOff, nil
 	default:
-		return 0, fmt.Errorf("-parametric must be \"auto\", \"on\" or \"off\", got %q", v)
+		return 0, fmt.Errorf("-parametric must be \"auto\" or \"off\", got %q", v)
 	}
 }
 
@@ -312,8 +311,8 @@ func sweep(ctx context.Context, p mdcd.Params, cfg sweepConfig) error {
 
 // scenarioSweep is the -scenario mode: generate the templated models,
 // verify them, and run the standard sweep workflow on the scenario
-// analyzer. The generated state spaces are model-checked inside
-// template.Build before anything is solved, and the build emits the
+// analyzer. template.Build model-checks the generated state spaces
+// (mdcd.Generate) before anything is solved, and emits the
 // template.instances / template.states counters onto the trace.
 func scenarioSweep(ctx context.Context, path string, cfg sweepConfig) error {
 	spec, err := template.Load(path)

@@ -12,7 +12,7 @@ func TestListRules(t *testing.T) {
 	}
 	for _, rule := range []string{
 		"errcheck", "floateq", "libpanic", "ctxflow", "probrange",
-		"ctxcancel", "lockbalance", "golifetime", "exhaustive",
+		"lockbalance", "golifetime", "exhaustive",
 	} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing rule %s:\n%s", rule, out.String())

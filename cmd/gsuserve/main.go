@@ -94,7 +94,7 @@ func run(ctx context.Context, args []string) int {
 		cacheTTL     = fs.Duration("cache-ttl", 5*time.Minute, "response cache entry lifetime")
 		cacheShards  = fs.Int("cache-shards", 8, "cache lock shards")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight work")
-		parametric   = fs.String("parametric", "auto", "closed-form parametric fast path: \"auto\" (numeric fallback outside the validated domain), \"on\" (fail analyzer builds outside it), \"off\" (numeric engine only)")
+		parametric   = fs.String("parametric", "auto", "closed-form parametric fast path: \"auto\" (numeric fallback outside the validated domain) or \"off\" (numeric engine only)")
 		logMode      = fs.String("log", "json", "structured log format on stderr: \"json\", \"text\", or \"off\"")
 		traceSample  = fs.Float64("trace-sample", 0.01, "fraction of requests whose trace document is retained for /debug/traces (inbound X-Trace-Id and 5xx are always kept)")
 		traceRing    = fs.Int("trace-ring", 64, "sampled trace documents kept in memory for /debug/traces")
@@ -117,9 +117,9 @@ func run(ctx context.Context, args []string) int {
 	}
 	logger = l
 	switch *parametric {
-	case "auto", "on", "off":
+	case "auto", "off":
 	default:
-		logger.Error("invalid flag", "flag", "parametric", "got", *parametric, "want", "auto|on|off")
+		logger.Error("invalid flag", "flag", "parametric", "got", *parametric, "want", "auto|off")
 		return 1
 	}
 

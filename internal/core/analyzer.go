@@ -7,11 +7,9 @@ import (
 	"math"
 
 	"guardedop/internal/mdcd"
-	"guardedop/internal/modelcheck"
 	"guardedop/internal/obs"
 	"guardedop/internal/parametric"
 	"guardedop/internal/robust"
-	"guardedop/internal/statespace"
 )
 
 // Analyzer evaluates the performability index Y(φ) for one parameter set.
@@ -60,14 +58,11 @@ const (
 	// bit-identical numeric behavior.
 	ParametricOff ParametricMode = iota
 	// ParametricAuto builds the closed-form system when the parameters
-	// lie inside its validated domain and it passes probe
-	// cross-validation, silently falling back to the numeric engine
-	// otherwise (and per point on any closed-form evaluation error).
+	// lie inside its validated domain, the Gd space is small enough
+	// (parametricMaxStates) and the system passes probe cross-validation,
+	// silently falling back to the numeric engine otherwise (and per
+	// point on any closed-form evaluation error).
 	ParametricAuto
-	// ParametricOn requires the closed-form system: analyzer
-	// construction fails if it cannot be built and validated. Per-point
-	// numeric fallback still applies to queries the layer declines.
-	ParametricOn
 )
 
 // Options relaxes model assumptions for ablation studies; the zero value
@@ -89,54 +84,29 @@ func NewAnalyzer(p mdcd.Params) (*Analyzer, error) {
 }
 
 // NewAnalyzerWithOptions builds the composite base model with relaxed
-// assumptions.
+// assumptions: the paper's two-process scenario (mdcd.PaperScenario),
+// carrying o.RecoverySuccess, generated and verified by mdcd.Generate and
+// wired up like any other scenario.
 func NewAnalyzerWithOptions(p mdcd.Params, o Options) (*Analyzer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	gd, err := mdcd.BuildRMGdWithOptions(p, mdcd.GdOptions{RecoverySuccess: o.RecoverySuccess})
+	sc := mdcd.PaperScenario(p)
+	sc.RecoverySuccess = o.RecoverySuccess
+	m, err := mdcd.Generate(sc)
 	if err != nil {
-		return nil, fmt.Errorf("core: building RMGd: %w", err)
+		return nil, fmt.Errorf("core: building the paper models: %w", err)
 	}
-	if err := verifySpace("RMGd", gd.Space); err != nil {
-		return nil, err
-	}
-	gp, err := mdcd.BuildRMGp(p)
-	if err != nil {
-		return nil, fmt.Errorf("core: building RMGp: %w", err)
-	}
-	if err := verifySpace("RMGp", gp.Space); err != nil {
-		return nil, err
-	}
-	gpm, err := gp.Measures()
-	if err != nil {
-		return nil, fmt.Errorf("core: solving RMGp steady state: %w", err)
-	}
-	ndNew, err := mdcd.BuildRMNd(p, p.MuNew)
-	if err != nil {
-		return nil, fmt.Errorf("core: building RMNd(mu_new): %w", err)
-	}
-	if err := verifySpace("RMNd(mu_new)", ndNew.Space); err != nil {
-		return nil, err
-	}
-	ndOld, err := mdcd.BuildRMNd(p, p.MuOld)
-	if err != nil {
-		return nil, fmt.Errorf("core: building RMNd(mu_old): %w", err)
-	}
-	if err := verifySpace("RMNd(mu_old)", ndOld.Space); err != nil {
-		return nil, err
-	}
-	return finishAnalyzer(p, gd, ndNew, ndOld, []float64{gpm.Rho1, gpm.Rho2}, o.Parametric, o.Parametric == ParametricOn)
+	return newFromModels(ScenarioModels{Params: p, Gd: m.Gd, NdNew: m.NdNew, NdOld: m.NdOld, Rhos: m.Gp.Rhos}, o.Parametric)
 }
 
-// ScenarioModels carries the constituent models of a templated scenario
-// into the analyzer: the internal/template layer builds them from a
-// declarative spec and hands them over here, so the curve engine, the
-// optimizer, and the serving layer run unchanged on any generated
-// instance.
+// ScenarioModels carries the constituent models of a generated scenario
+// into the analyzer: mdcd.Generate (behind template.Build) builds and
+// verifies them, so the curve engine, the optimizer, and the serving
+// layer run unchanged on any generated instance.
 type ScenarioModels struct {
 	// Params is the scenario's translation-layer parameter set (θ drives
-	// the grids and horizons; the rate fields describe the defaults the
+	// the grids and horizons; the rate fields describe the baseline the
 	// heterogeneous nodes deviate from).
 	Params mdcd.Params
 	// Gd is the scenario's guarded-operation dependability model.
@@ -148,25 +118,29 @@ type ScenarioModels struct {
 	Rhos []float64
 }
 
-// parametricScenarioMaxStates gates the closed-form layer for scenario
-// analyzers: the spectral decomposition is validated for the paper
-// models' small spaces, so only comparably small generated Gd spaces
-// attempt it. Larger scenarios always use the numeric engine.
-const parametricScenarioMaxStates = 32
+// parametricMaxStates gates the closed-form layer: the spectral
+// decomposition is validated for the paper models' small spaces (the
+// paper Gd has 22 states), so only comparably small Gd spaces attempt it.
+// Larger scenarios always use the numeric engine.
+const parametricMaxStates = 32
 
-// NewScenarioAnalyzer wraps template-generated constituent models into an
-// Analyzer. The models must already be generated and verified (the
-// template layer modelchecks every instance); this re-verifies them
-// before wiring the solver machinery, mirroring NewAnalyzerWithOptions.
-// On the paper spec it yields the same analyzer NewAnalyzer builds.
-//
-// The closed-form parametric layer is attempted with auto semantics
-// regardless of whether the caller asked for ParametricOn: generated
-// spaces can be far larger than the paper models the layer was
-// validated on, so an unavailable closed form degrades to the numeric
-// engine instead of failing construction.
+// NewScenarioAnalyzer wraps generated constituent models into an
+// Analyzer. The models must come from mdcd.Generate (template.Build),
+// which has already model-checked every space; the ρ values are
+// range-checked here. On the paper spec it yields the same analyzer
+// NewAnalyzer builds.
 func NewScenarioAnalyzer(sm ScenarioModels, o Options) (*Analyzer, error) {
-	if err := sm.Params.Validate(); err != nil {
+	return newFromModels(sm, o.Parametric)
+}
+
+// newFromModels is the one construction path behind both constructors. It
+// checks the parameter set and the ρ values, then wires the solver
+// machinery: the stacked RMNd pair, the φ-independent P(X″_θ ∈ A″₁), and
+// — when a parametric mode is requested and the Gd space is small enough
+// — the closed-form parametric layer.
+func newFromModels(sm ScenarioModels, mode ParametricMode) (*Analyzer, error) {
+	p := sm.Params
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if sm.Gd == nil || sm.NdNew == nil || sm.NdOld == nil {
@@ -181,48 +155,25 @@ func NewScenarioAnalyzer(sm ScenarioModels, o Options) (*Analyzer, error) {
 			return nil, err
 		}
 	}
-	for _, c := range []struct {
-		name string
-		sp   *statespace.Space
-	}{
-		{"scenario RMGd", sm.Gd.Space},
-		{"scenario RMNd(new)", sm.NdNew.Space},
-		{"scenario RMNd(old)", sm.NdOld.Space},
-	} {
-		if err := verifySpace(c.name, c.sp); err != nil {
-			return nil, err
-		}
-	}
-	mode := o.Parametric
-	if mode != ParametricOff && sm.Gd.Space.NumStates() > parametricScenarioMaxStates {
-		mode = ParametricOff
-	}
-	return finishAnalyzer(sm.Params, sm.Gd, sm.NdNew, sm.NdOld, append([]float64(nil), sm.Rhos...), mode, false)
-}
-
-// finishAnalyzer wires the solver machinery shared by the paper and
-// scenario construction paths: the stacked RMNd pair, the φ-independent
-// P(X″_θ ∈ A″₁), and the optional closed-form parametric layer.
-func finishAnalyzer(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd, rhos []float64, mode ParametricMode, requirePar bool) (*Analyzer, error) {
-	ndPair, err := mdcd.NewRMNdPair(ndNew, ndOld)
+	ndPair, err := mdcd.NewRMNdPair(sm.NdNew, sm.NdOld)
 	if err != nil {
 		return nil, fmt.Errorf("core: stacking RMNd pair: %w", err)
 	}
-	pTheta, err := ndNew.NoFailureProbability(p.Theta)
+	pTheta, err := sm.NdNew.NoFailureProbability(p.Theta)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving P(X''_theta in A''_1): %w", err)
 	}
 	var par *parametric.System
 	switch mode {
 	case ParametricOff:
-	case ParametricAuto, ParametricOn:
-		par, err = parametric.NewSystem(p, gd, ndNew, ndOld)
-		if err != nil {
-			if requirePar {
-				return nil, fmt.Errorf("core: parametric system required but unavailable: %w", err)
-			}
-			// Auto: the numeric engine covers the whole parameter space;
-			// the build error only means this parameter set gets no fast
+	case ParametricAuto:
+		if sm.Gd.Space.NumStates() > parametricMaxStates {
+			mode = ParametricOff
+			break
+		}
+		if par, err = parametric.NewSystem(p, sm.Gd, sm.NdNew, sm.NdOld); err != nil {
+			// The numeric engine covers the whole parameter space; a
+			// build error only means this parameter set gets no fast
 			// path.
 			par = nil
 		}
@@ -231,10 +182,10 @@ func finishAnalyzer(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd, rhos 
 	}
 	return &Analyzer{
 		params:          p,
-		gd:              gd,
-		rhos:            rhos,
-		ndNew:           ndNew,
-		ndOld:           ndOld,
+		gd:              sm.Gd,
+		rhos:            append([]float64(nil), sm.Rhos...),
+		ndNew:           sm.NdNew,
+		ndOld:           sm.NdOld,
 		ndPair:          ndPair,
 		par:             par,
 		parMode:         mode,
@@ -245,20 +196,6 @@ func finishAnalyzer(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd, rhos 
 // Parametric reports whether the closed-form parametric layer is active
 // for this analyzer (built, probe-validated, and serving point queries).
 func (a *Analyzer) Parametric() bool { return a.par != nil }
-
-// verifySpace statically checks a freshly generated state space before any
-// solver touches it (docs/STATIC_ANALYSIS.md): generator validity,
-// reachability, and absorbing/ergodic structure. The check is linear in
-// the space and negligible next to a single transient solve; a violation
-// wraps robust.ErrInvariant so the robust batch layer classifies it as
-// non-transient.
-func verifySpace(name string, sp *statespace.Space) error {
-	rep := modelcheck.CheckSpace(name, sp, modelcheck.Options{})
-	if rep.OK() {
-		return nil
-	}
-	return fmt.Errorf("core: model verification: %w: %w", robust.ErrInvariant, rep.Err())
-}
 
 // Params returns the analyzer's parameter set.
 func (a *Analyzer) Params() mdcd.Params { return a.params }

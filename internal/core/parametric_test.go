@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -180,19 +179,27 @@ func TestParametricOutOfDomainFallsBack(t *testing.T) {
 	}
 }
 
-// TestParametricOnModeErrors pins the strict mode: ParametricOn refuses to
-// build an analyzer the closed-form layer cannot serve, surfacing the
-// domain error instead of silently degrading.
-func TestParametricOnModeErrors(t *testing.T) {
-	p := outOfDomainParams(t)
-	if _, err := NewAnalyzerWithOptions(p, Options{Parametric: ParametricOn}); !errors.Is(err, parametric.ErrOutOfDomain) {
-		t.Fatalf("got %v, want ErrOutOfDomain", err)
+// TestParametricModeErrors pins the mode contract: auto degrades to the
+// numeric engine outside the closed-form domain instead of failing, and
+// an unknown mode is refused by both constructors.
+func TestParametricModeErrors(t *testing.T) {
+	a, err := NewAnalyzerWithOptions(outOfDomainParams(t), Options{Parametric: ParametricAuto})
+	if err != nil {
+		t.Fatalf("auto outside the domain: %v", err)
 	}
-	if _, err := NewAnalyzerWithOptions(mdcd.DefaultParams(), Options{Parametric: ParametricOn}); err != nil {
-		t.Fatalf("ParametricOn at the paper params: %v", err)
+	if a.Parametric() {
+		t.Error("closed form active outside its validated domain")
 	}
-	if _, err := NewAnalyzerWithOptions(mdcd.DefaultParams(), Options{Parametric: ParametricMode(42)}); err == nil {
+	paper, err := NewAnalyzerWithOptions(mdcd.DefaultParams(), Options{Parametric: ParametricMode(42)})
+	if err == nil {
 		t.Fatal("unknown parametric mode accepted")
+	}
+	if paper, err = NewAnalyzer(mdcd.DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	sm := ScenarioModels{Params: paper.params, Gd: paper.gd, NdNew: paper.ndNew, NdOld: paper.ndOld, Rhos: paper.rhos}
+	if _, err := NewScenarioAnalyzer(sm, Options{Parametric: ParametricMode(42)}); err == nil {
+		t.Fatal("unknown parametric mode accepted by the scenario constructor")
 	}
 }
 

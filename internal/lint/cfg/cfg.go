@@ -1,7 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves forward dataflow problems on them. It is the
-// flow-sensitive substrate of the gsulint rules that reason about paths —
-// ctxcancel (cancel funcs invoked on every path to return) and
+// flow-sensitive substrate of the gsulint rule that reasons about paths —
 // lockbalance (mutex pairing on every path) — where the older rules only
 // had to look at one node at a time.
 //

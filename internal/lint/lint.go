@@ -75,7 +75,6 @@ func AllPasses() []Pass {
 		LibPanicPass{},
 		CtxFlowPass{},
 		ProbRangePass{},
-		CtxCancelPass{},
 		LockBalancePass{},
 		GoLifetimePass{},
 		ExhaustivePass{},

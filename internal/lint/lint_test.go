@@ -76,7 +76,7 @@ func scanWants(t *testing.T, dir string) []expectation {
 func TestGoldenFixtures(t *testing.T) {
 	fixtures := []string{
 		"errcheckfix", "floateqfix", "libpanicfix", "ctxflowfix", "probrangefix",
-		"ctxcancelfix", "lockbalancefix", "golifetimefix", "exhaustivefix",
+		"lockbalancefix", "golifetimefix", "exhaustivefix",
 	}
 	for _, name := range fixtures {
 		t.Run(name, func(t *testing.T) {
@@ -135,8 +135,8 @@ func TestSelectPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 9 {
-		t.Fatalf("got %d passes, want 9", len(all))
+	if len(all) != 8 {
+		t.Fatalf("got %d passes, want 8", len(all))
 	}
 	two, err := SelectPasses("floateq, errcheck")
 	if err != nil {

@@ -40,15 +40,17 @@
 //   - In the normal mode no AT or checkpointing is performed, so the first
 //     erroneous external message causes failure.
 //
-// One generator builds every model of the family. BuildGd, BuildNd and
-// SolveGp take a resolved Scenario — N nodes, the coverage c, the
-// safeguard rates α and β, the guard policy, its retry budget and a
-// state limit — after Montecchi et al.'s SAN Templates; internal/template
-// resolves JSON scenario specs into one. BuildRMGd, BuildRMGp and
-// BuildRMNd are thin wrappers: they run the generators on the paper's
-// two-process scenario (P1 upgraded, P2 plain, global policy) and bind
-// the place and activity handles the simulator and the cost accounting
-// read. Generated place names are scoped by node, so the paper's P1Nctn
+// One generator builds every model of the family. Generate takes a
+// resolved Scenario — N nodes, the coverage c, the safeguard rates α and
+// β, the guard policy, its retry budget and a state limit — after
+// Montecchi et al.'s SAN Templates, generates Gd, the joint Gp and both
+// Nd, model-checks each generated space once, and solves the per-node ρ;
+// internal/template resolves JSON scenario specs into a Scenario, and
+// every analyzer in internal/core is built from Generate's output.
+// BuildRMGd, BuildRMGp and BuildRMNd are thin wrappers: they run the
+// generators on the paper's two-process scenario (PaperScenario: P1
+// upgraded, P2 plain, global policy) and bind the place and activity
+// handles the simulator and the cost accounting read. Generated place names are scoped by node, so the paper's P1Nctn
 // is P1.ctnN and P1nExt is P1.sext; docs/MODELS.md maps them all.
 //
 // The constituent-measure reward structures of the paper's Tables 1 and 2

@@ -38,16 +38,11 @@ type gdModel struct {
 	ctn  []*san.Place // per node (by idx): plain contamination; nil for upgraded
 }
 
-// BuildGd generates the scenario's guarded-operation dependability model
-// (the paper's Figure 6 generalised to N nodes and the guard policies).
-// The detected and failure places carry the paper's semantics, so the
-// Table 1 reward structures apply unchanged.
-func BuildGd(sc Scenario) (*RMGd, error) {
-	r, _, err := buildGd(&sc)
-	return r, err
-}
-
-// buildGd is BuildGd returning the generated place handles as well.
+// buildGd generates the scenario's guarded-operation dependability model
+// (the paper's Figure 6 generalised to N nodes and the guard policies),
+// returning the generated place handles as well. The detected and failure
+// places carry the paper's semantics, so the Table 1 reward structures
+// apply unchanged.
 func buildGd(sc *Scenario) (*RMGd, *gdModel, error) {
 	nodes, err := sc.index()
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 
 // gpJointMaxStates caps the exact joint performance-overhead model. The
 // Gp state space is a product over nodes (≈5–6 local states each), so it
-// explodes combinatorially; beyond the cap SolveGp switches to the
+// explodes combinatorially; beyond the cap Generate switches to the
 // mean-field approximation.
 const gpJointMaxStates = 4096
 
@@ -26,70 +26,69 @@ type GpSolution struct {
 	// MeanField records that the joint model exceeded gpJointMaxStates
 	// and the per-node fixed point was used instead.
 	MeanField bool
-	// Space is the joint state space (nil under the mean-field path),
-	// exposed so callers can model-check it.
+	// Space is the joint state space (nil under the mean-field path).
 	Space *statespace.Space
 }
 
-// SolveGp solves the scenario's G-OP performance-overhead measures: the
-// fraction of time each node makes forward progress while the safeguards
-// (acceptance tests on suspect and dirty externals, pre-processing
-// checkpoints on clean recipients) are active.
-//
-// The model generalises the paper's Figure 7 and is guard-policy
+// generateGp generates the scenario's G-OP performance-overhead model, the
+// paper's Figure 7 generalised to N nodes. The model is guard-policy
 // independent: it describes the overhead while every upgrade is under
 // guard, the regime the Y(φ) translation weighs by the G-OP sojourn. Up
-// to gpJointMaxStates (or sc.MaxStates, if smaller) the exact joint chain
-// is generated and solved; past it a standard mean-field fixed point over
-// the per-node marginals is used (each node sees the others only through
-// their steady-state sending and AT-completion rates, with exponential
-// safeguard durations).
-func SolveGp(sc Scenario) (*GpSolution, error) {
-	nodes, err := sc.index()
-	if err != nil {
-		return nil, err
-	}
+// to gpJointMaxStates (or sc.MaxStates, if smaller) it is the exact joint
+// chain; past the cap it returns nil and the overhead measures come from
+// the mean-field approximation (gpMeanField) instead.
+func generateGp(sc *Scenario, nodes []node) (*gpJoint, error) {
 	capStates := gpJointMaxStates
 	if sc.MaxStates > 0 && sc.MaxStates < capStates {
 		capStates = sc.MaxStates
 	}
-	j, err := buildGpJoint(&sc, nodes, capStates)
+	j, err := buildGpJoint(sc, nodes, capStates)
 	if errors.Is(err, statespace.ErrStateSpaceTooLarge) {
-		rhos, mfErr := gpMeanField(&sc, nodes)
-		if mfErr != nil {
-			return nil, mfErr
-		}
-		return &GpSolution{Rhos: rhos, MeanField: true}, nil
+		return nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
+	return j, err
+}
 
-	structs := make([]*reward.Structure, len(nodes))
-	for i, n := range nodes {
-		if n.Upgraded {
-			pl := j.sext[n.uidx]
-			structs[i] = reward.NewStructure().Add(n.Name+" AT", func(mk san.Marking) bool {
-				return mk.Get(pl) > 0
-			}, 1)
-		} else {
-			ckptPl, dbPl, extPl := j.ckpt[n.idx], j.db[n.idx], j.ext[n.idx]
-			structs[i] = reward.NewStructure().Add(n.Name+" ckpt or AT", func(mk san.Marking) bool {
-				return (mk.Get(ckptPl) > 0 && mk.Get(dbPl) == 0) ||
-					(mk.Get(extPl) > 0 && mk.Get(dbPl) == 1)
-			}, 1)
-		}
+// solve solves the G-OP performance-overhead measures on the joint chain:
+// the fraction of time each node makes forward progress while the
+// safeguards (acceptance tests on suspect and dirty externals,
+// pre-processing checkpoints on clean recipients) are active. One
+// steady-state solve serves every node.
+func (j *gpJoint) solve() (*GpSolution, error) {
+	structs := make([]*reward.Structure, len(j.nodes))
+	for i, n := range j.nodes {
+		structs[i] = j.overhead(n)
 	}
-	// One steady-state solve of the joint chain serves every node.
 	oh, err := reward.SteadyState(j.space, structs...)
 	if err != nil {
 		return nil, fmt.Errorf("mdcd: solving Gp overheads: %w", err)
 	}
-	rhos := make([]float64, len(nodes))
-	for i, n := range nodes {
+	rhos := make([]float64, len(j.nodes))
+	for i, n := range j.nodes {
 		rhos[n.idx] = 1 - oh[i]
 	}
 	return &GpSolution{Rhos: rhos, States: j.space.NumStates(), Space: j.space}, nil
+}
+
+// overhead is the Table 2 reward structure for node n's 1-ρ. An upgraded
+// node loses progress while its external message is under AT — the
+// paper's MARK(P1nExt)==1 for P1new. A plain node loses it while it
+// checkpoints with a clean dirty bit or while its own dirty external is
+// under AT — (MARK(P1nInt)==1 && MARK(P2DB)==0) || (MARK(P2Ext)==1 &&
+// MARK(P2DB)==1) for the paper's P2. "In progress" is a non-zero stage
+// count, which generalises the paper's ==1 to Erlang-staged durations.
+func (j *gpJoint) overhead(n node) *reward.Structure {
+	if n.Upgraded {
+		ext := j.sext[n.uidx]
+		return reward.NewStructure().Add(n.Name+" AT", func(mk san.Marking) bool {
+			return mk.Get(ext) > 0
+		}, 1)
+	}
+	ckpt, db, ext := j.ckpt[n.idx], j.db[n.idx], j.ext[n.idx]
+	return reward.NewStructure().Add(n.Name+" ckpt or AT", func(mk san.Marking) bool {
+		return (mk.Get(ckpt) > 0 && mk.Get(db) == 0) ||
+			(mk.Get(ext) > 0 && mk.Get(db) == 1)
+	}, 1)
 }
 
 // gpJoint is the generated joint overhead model: its space plus the place
@@ -97,6 +96,7 @@ func SolveGp(sc Scenario) (*GpSolution, error) {
 // nodes, by idx for plain ones).
 type gpJoint struct {
 	space *statespace.Space
+	nodes []node
 
 	sready, sext, ocheck, odb []*san.Place
 	ready, ext, ckpt, db      []*san.Place
@@ -136,6 +136,7 @@ func buildGpJoint(sc *Scenario, nodes []node, maxStates int) (*gpJoint, error) {
 		}
 	}
 	j := &gpJoint{
+		nodes:  nodes,
 		sready: make([]*san.Place, nUp),
 		sext:   make([]*san.Place, nUp),
 		ocheck: make([]*san.Place, nUp),
@@ -314,13 +315,14 @@ const (
 )
 
 // gpMeanField solves the overhead measures by a fixed point over per-node
-// marginals. Suspects are exact and self-contained: their send/AT cycle
-// never blocks on peers, so ρ_u = α/(α + λ_u·p_ext). Each plain node is a
+// marginals, the approximation past gpJointMaxStates. Suspects are exact
+// and self-contained: their send/AT cycle never blocks on peers, so
+// ρ_u = α/(α + λ_u·p_ext). Each plain node is a
 // 5-state chain driven by two aggregate Poisson influences — the rate of
 // potentially-contaminated internal messages reaching it (checkpoint
 // triggers) and the rate of peer AT completions (dirty-bit clears) —
 // both computed from the other marginals and iterated to convergence.
-func gpMeanField(sc *Scenario, nodes []node) ([]float64, error) {
+func gpMeanField(sc *Scenario, nodes []node) (*GpSolution, error) {
 	alpha, beta := sc.Alpha, sc.Beta
 	nRecv := float64(len(nodes) - 1)
 
@@ -378,7 +380,7 @@ func gpMeanField(sc *Scenario, nodes []node) ([]float64, error) {
 			for _, j := range plains {
 				rhos[j] = 1 - (pi[j][mfCkpt] + pi[j][mfExtDirty])
 			}
-			return rhos, nil
+			return &GpSolution{Rhos: rhos, MeanField: true}, nil
 		}
 	}
 	return nil, fmt.Errorf("mdcd: Gp mean-field fixed point did not converge in %d iterations", maxIter)

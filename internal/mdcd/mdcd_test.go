@@ -1,8 +1,12 @@
 package mdcd
 
 import (
+	"errors"
 	"math"
+	"net/http"
 	"testing"
+
+	"guardedop/internal/robust"
 )
 
 func TestDefaultParamsMatchTable3(t *testing.T) {
@@ -16,25 +20,46 @@ func TestDefaultParamsMatchTable3(t *testing.T) {
 	}
 }
 
+// TestParamsValidation covers every field Validate rejects: each
+// rejection must be a typed robust.ErrInvariant, which the serving layer
+// answers with 422 rather than 500.
 func TestParamsValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Params)
 	}{
 		{"zero theta", func(p *Params) { p.Theta = 0 }},
+		{"infinite theta", func(p *Params) { p.Theta = math.Inf(1) }},
+		{"zero lambda", func(p *Params) { p.Lambda = 0 }},
 		{"negative lambda", func(p *Params) { p.Lambda = -1 }},
 		{"NaN muNew", func(p *Params) { p.MuNew = math.NaN() }},
-		{"coverage above one", func(p *Params) { p.Coverage = 1.5 }},
-		{"zero pext", func(p *Params) { p.PExt = 0 }},
+		{"negative muNew", func(p *Params) { p.MuNew = -1e-4 }},
+		{"infinite muOld", func(p *Params) { p.MuOld = math.Inf(1) }},
+		{"negative muOld", func(p *Params) { p.MuOld = -1e-8 }},
 		{"infinite alpha", func(p *Params) { p.Alpha = math.Inf(1) }},
+		{"zero alpha", func(p *Params) { p.Alpha = 0 }},
 		{"zero beta", func(p *Params) { p.Beta = 0 }},
+		{"NaN beta", func(p *Params) { p.Beta = math.NaN() }},
+		{"coverage above one", func(p *Params) { p.Coverage = 1.5 }},
+		{"negative coverage", func(p *Params) { p.Coverage = -0.1 }},
+		{"NaN coverage", func(p *Params) { p.Coverage = math.NaN() }},
+		{"zero pext", func(p *Params) { p.PExt = 0 }},
+		{"pext above one", func(p *Params) { p.PExt = 1.01 }},
+		{"NaN pext", func(p *Params) { p.PExt = math.NaN() }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			tc.mutate(&p)
-			if err := p.Validate(); err == nil {
-				t.Error("invalid params accepted")
+			err := p.Validate()
+			if err == nil {
+				t.Fatal("invalid params accepted")
+			}
+			if !errors.Is(err, robust.ErrInvariant) {
+				t.Errorf("error %v does not wrap robust.ErrInvariant", err)
+			}
+			if got := robust.HTTPStatus(err); got != http.StatusUnprocessableEntity {
+				t.Errorf("HTTPStatus = %d, want %d", got, http.StatusUnprocessableEntity)
 			}
 		})
 	}

@@ -241,38 +241,22 @@ type GpMeasures struct {
 	Rho2 float64
 }
 
-// structOverhead1 is the Table 2 reward structure for 1-ρ₁:
-// MARK(P1nExt)==1. The non-zero test generalises the paper's ==1 to the
-// Erlang-staged variant, where the place holds the remaining stage count;
-// the two coincide for the paper's exponential model.
-func (r *RMGp) structOverhead1() *reward.Structure {
-	return reward.NewStructure().Add("P1nExt", func(mk san.Marking) bool {
-		return mk.Get(r.P1nExt) > 0
-	}, 1)
-}
+// Overhead1Structure returns the Table 2 reward structure for 1-ρ₁:
+// MARK(P1nExt)==1 (the scenario generator's per-node overhead predicate
+// for P1).
+func (r *RMGp) Overhead1Structure() *reward.Structure { return r.joint.overhead(r.joint.nodes[0]) }
 
-// structOverhead2 is the Table 2 reward structure for 1-ρ₂:
-// (MARK(P1nInt)==1 && MARK(P2DB)==0) || (MARK(P2Ext)==1 && MARK(P2DB)==1),
-// with the same non-zero generalisation as structOverhead1.
-func (r *RMGp) structOverhead2() *reward.Structure {
-	return reward.NewStructure().Add("P2 ckpt or AT", func(mk san.Marking) bool {
-		return (mk.Get(r.P1nInt) > 0 && mk.Get(r.P2DB) == 0) ||
-			(mk.Get(r.P2Ext) > 0 && mk.Get(r.P2DB) == 1)
-	}, 1)
-}
-
-// Overhead1Structure returns the Table 2 reward structure for 1-ρ₁.
-func (r *RMGp) Overhead1Structure() *reward.Structure { return r.structOverhead1() }
-
-// Overhead2Structure returns the Table 2 reward structure for 1-ρ₂.
-func (r *RMGp) Overhead2Structure() *reward.Structure { return r.structOverhead2() }
+// Overhead2Structure returns the Table 2 reward structure for 1-ρ₂:
+// (MARK(P1nInt)==1 && MARK(P2DB)==0) || (MARK(P2Ext)==1 && MARK(P2DB)==1)
+// (the per-node overhead predicate for P2).
+func (r *RMGp) Overhead2Structure() *reward.Structure { return r.joint.overhead(r.joint.nodes[1]) }
 
 // Measures solves the Table 2 steady-state overhead measures from one
 // steady-state solve of the chain.
 func (r *RMGp) Measures() (GpMeasures, error) {
-	oh, err := reward.SteadyState(r.Space, r.structOverhead1(), r.structOverhead2())
+	sol, err := r.joint.solve()
 	if err != nil {
 		return GpMeasures{}, err
 	}
-	return GpMeasures{Rho1: 1 - oh[0], Rho2: 1 - oh[1]}, nil
+	return GpMeasures{Rho1: sol.Rhos[0], Rho2: sol.Rhos[1]}, nil
 }

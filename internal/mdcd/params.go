@@ -3,6 +3,8 @@ package mdcd
 import (
 	"fmt"
 	"math"
+
+	"guardedop/internal/robust"
 )
 
 // Params holds the model parameters of the paper's Table 3. All rates are
@@ -42,11 +44,12 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. A rejection wraps robust.ErrInvariant:
+// a degenerate parameter set is a caller error, never a transient one.
 func (p Params) Validate() error {
 	check := func(name string, v float64, allowZero bool) error {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || (!allowZero && v == 0) {
-			return fmt.Errorf("mdcd: parameter %s = %g out of range", name, v)
+			return fmt.Errorf("mdcd: parameter %s = %g out of range: %w", name, v, robust.ErrInvariant)
 		}
 		return nil
 	}
@@ -69,10 +72,10 @@ func (p Params) Validate() error {
 		return err
 	}
 	if p.Coverage < 0 || p.Coverage > 1 || math.IsNaN(p.Coverage) {
-		return fmt.Errorf("mdcd: Coverage = %g, want [0,1]", p.Coverage)
+		return fmt.Errorf("mdcd: Coverage = %g, want [0,1]: %w", p.Coverage, robust.ErrInvariant)
 	}
 	if p.PExt <= 0 || p.PExt > 1 || math.IsNaN(p.PExt) {
-		return fmt.Errorf("mdcd: PExt = %g, want (0,1]", p.PExt)
+		return fmt.Errorf("mdcd: PExt = %g, want (0,1]: %w", p.PExt, robust.ErrInvariant)
 	}
 	return nil
 }

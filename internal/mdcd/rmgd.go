@@ -7,7 +7,8 @@ import (
 )
 
 // RMGd is the dependability reward model of the guarded-operation interval
-// (the paper's Figure 6), generated to a tangible state space by BuildGd.
+// (the paper's Figure 6), generated to a tangible state space by the
+// scenario generator (Generate).
 type RMGd struct {
 	Space *statespace.Space
 
@@ -61,7 +62,7 @@ func BuildRMGd(p Params) (*RMGd, error) {
 }
 
 // BuildRMGdWithOptions constructs RMGd with relaxed assumptions. It runs
-// the scenario generator (BuildGd) on the paper's two-process scenario
+// the scenario generator on the paper's two-process scenario
 // and binds the per-process places the simulator reads.
 //
 // The marking encodes the G-OP/normal mode switch through the detected
@@ -78,7 +79,7 @@ func BuildRMGdWithOptions(p Params, o GdOptions) (*RMGd, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sc := paperScenario(p)
+	sc := PaperScenario(p)
 	sc.RecoverySuccess = o.RecoverySuccess
 	r, g, err := buildGd(&sc)
 	if err != nil {

@@ -58,6 +58,8 @@ type RMGp struct {
 	// P1new's and P2's external messages and the checkpoints of P2 and
 	// P1old.
 	P1nAT, P2AT, P2Ckpt, P1oCkpt *san.Activity
+
+	joint *gpJoint // the generated model behind the handles
 }
 
 // BuildRMGp constructs and generates the RMGp model with exponential
@@ -78,7 +80,7 @@ func BuildRMGpErlang(p Params, stages int) (*RMGp, error) {
 	if stages < 1 || stages > 16 {
 		return nil, fmt.Errorf("mdcd: Erlang stages = %d out of [1, 16]", stages)
 	}
-	sc := paperScenario(p)
+	sc := PaperScenario(p)
 	sc.Stages = stages
 	nodes, err := sc.index()
 	if err != nil {
@@ -104,5 +106,6 @@ func BuildRMGpErlang(p Params, stages int) (*RMGp, error) {
 		P2AT:     j.at[1],
 		P2Ckpt:   j.ckptAct[1],
 		P1oCkpt:  j.ockpt[0],
+		joint:    j,
 	}, nil
 }

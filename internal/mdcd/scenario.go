@@ -50,10 +50,10 @@ type Node struct {
 	MuNew    float64
 }
 
-// Scenario is the resolved input of the GSU model generators (BuildGd,
-// BuildNd, SolveGp): N nodes, the safeguard parameters and the guard
-// policy. The paper's study is the two-node scenario behind BuildRMGd,
-// BuildRMGp and BuildRMNd.
+// Scenario is the resolved input of the GSU model generators (Generate,
+// BuildNd): N nodes, the safeguard parameters and the guard policy. The
+// paper's study is the two-node scenario behind BuildRMGd, BuildRMGp and
+// BuildRMNd.
 type Scenario struct {
 	Name string
 	// Coverage is the AT coverage c; Alpha and Beta the AT and
@@ -126,9 +126,10 @@ func (sc *Scenario) index() ([]node, error) {
 	return nodes, nil
 }
 
-// paperScenario is the paper's two-process study as a scenario: P1
+// PaperScenario returns the paper's two-process study as a scenario: P1
 // upgraded, P2 plain, both at the Params rates, global guard policy.
-func paperScenario(p Params) Scenario {
+// Its Params(p.Theta) is p again.
+func PaperScenario(p Params) Scenario {
 	return Scenario{
 		Name:     "paper-baseline",
 		Coverage: p.Coverage,
@@ -140,4 +141,20 @@ func paperScenario(p Params) Scenario {
 			{Name: "P2", Lambda: p.Lambda, PExt: p.PExt, MuOld: p.MuOld},
 		},
 	}
+}
+
+// Params derives the translation-layer parameter set of the scenario: θ,
+// the safeguard parameters, and — as the scenario's baseline rates — the
+// rates of the first upgraded node (heterogeneous nodes carry their own
+// rates in the generated models). On a scenario resolved from a valid
+// template spec the result validates.
+func (sc Scenario) Params(theta float64) Params {
+	p := Params{Theta: theta, Coverage: sc.Coverage, Alpha: sc.Alpha, Beta: sc.Beta}
+	for _, n := range sc.Nodes {
+		if n.Upgraded {
+			p.Lambda, p.PExt, p.MuOld, p.MuNew = n.Lambda, n.PExt, n.MuOld, n.MuNew
+			break
+		}
+	}
+	return p
 }

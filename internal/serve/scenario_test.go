@@ -77,6 +77,41 @@ func TestScenarioCurveHappyPath(t *testing.T) {
 	}
 }
 
+// TestScenarioCurveWithoutDefaults: the defaults block is optional when
+// every node carries its own rates. Such a spec must be served like the
+// same scenario spelled with defaults — 200 and bit-identical Y — since
+// the analyzer's baseline rates come from the resolved scenario.
+func TestScenarioCurveWithoutDefaults(t *testing.T) {
+	t.Parallel()
+	h := New(Config{}).Handler()
+	noDefaults := `{"spec":{"name":"paper-baseline","theta":10000,"coverage":0.95,"alpha":6000,"beta":6000,` +
+		`"guard":{"policy":"global"},"nodes":[` +
+		`{"name":"P1","lambda":1200,"p_ext":0.1,"mu_old":1e-8,"upgrade":{"mu_new":1e-4}},` +
+		`{"name":"P2","lambda":1200,"p_ext":0.1,"mu_old":1e-8}]},"points":6}`
+	curve := func(body string) []pointJSON {
+		t.Helper()
+		rec := hit(h, http.MethodPost, "/v1/scenario/curve", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
+		}
+		var resp scenarioCurveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("decoding response: %v", err)
+		}
+		return resp.Results
+	}
+	got := curve(noDefaults)
+	want := curve(specBody(t, template.PaperSpec(), `"points":6`))
+	if len(got) != len(want) || len(got) != 7 {
+		t.Fatalf("got %d points, want %d (= 7)", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Phi != want[i].Phi || math.Float64bits(got[i].Y) != math.Float64bits(want[i].Y) {
+			t.Errorf("point %d: Y(%g) = %v without defaults, %v with", i, got[i].Phi, got[i].Y, want[i].Y)
+		}
+	}
+}
+
 // TestScenarioCurveTooLarge is the oversized-spec contract: a scenario
 // whose reachability exploration exceeds its state budget is refused
 // with the typed statespace sentinel, which the robust taxonomy maps to

@@ -37,8 +37,7 @@ type Config struct {
 	// Parametric selects the analyzers' closed-form fast path: "auto"
 	// (the default, also chosen for ""): in-domain queries are served
 	// from precomputed closed forms in microseconds, everything else
-	// falls back to the numeric engine; "on": analyzer construction
-	// fails outside the validated domain; "off": numeric engine only.
+	// falls back to the numeric engine; "off": numeric engine only.
 	// Any other value resolves to "auto" — the daemon's safe default —
 	// so a misconfigured deployment degrades to correct behavior
 	// instead of refusing to start.
@@ -85,7 +84,7 @@ func (c Config) withDefaults() Config {
 	if c.TraceRing <= 0 {
 		c.TraceRing = 64
 	}
-	if c.Parametric != "on" && c.Parametric != "off" {
+	if c.Parametric != "off" {
 		c.Parametric = "auto"
 	}
 	return c
@@ -94,14 +93,10 @@ func (c Config) withDefaults() Config {
 // parametricMode maps the resolved Config.Parametric string to the
 // analyzer option.
 func (c Config) parametricMode() core.ParametricMode {
-	switch c.Parametric {
-	case "on":
-		return core.ParametricOn
-	case "off":
+	if c.Parametric == "off" {
 		return core.ParametricOff
-	default:
-		return core.ParametricAuto
 	}
+	return core.ParametricAuto
 }
 
 // Server is the performability-as-a-service daemon: HTTP handlers over

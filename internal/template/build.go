@@ -2,10 +2,8 @@ package template
 
 import (
 	"context"
-	"fmt"
 
 	"guardedop/internal/mdcd"
-	"guardedop/internal/modelcheck"
 	"guardedop/internal/obs"
 	"guardedop/internal/statespace"
 )
@@ -40,10 +38,10 @@ type Instance struct {
 	TotalStates int
 }
 
-// Build validates spec, generates the scenario's constituent models,
-// model-checks every generated state space, and solves the overhead
-// measures. Counters template.instances and template.states are emitted
-// on the ctx tracer (if any).
+// Build validates spec and runs mdcd.Generate on the resolved scenario:
+// it generates the constituent models, model-checks every generated state
+// space, and solves the overhead measures. Counters template.instances
+// and template.states are emitted on the ctx tracer (if any).
 func Build(ctx context.Context, spec *Spec) (*Instance, error) {
 	if spec == nil {
 		return nil, specErr("nil spec")
@@ -55,59 +53,24 @@ func Build(ctx context.Context, spec *Spec) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	gd, err := mdcd.BuildGd(sc)
+	m, err := mdcd.Generate(sc)
 	if err != nil {
 		return nil, err
 	}
-	ndNew, err := mdcd.BuildNd(sc, true)
-	if err != nil {
-		return nil, err
-	}
-	ndOld, err := mdcd.BuildNd(sc, false)
-	if err != nil {
-		return nil, err
-	}
-	gp, err := mdcd.SolveGp(sc)
-	if err != nil {
-		return nil, err
-	}
-
-	// Model-check every generated chain before anything is solved on it.
-	checks := []struct {
-		name string
-		sp   *statespace.Space
-	}{
-		{"template Gd(" + spec.Name + ")", gd.Space},
-		{"template Nd-new(" + spec.Name + ")", ndNew.Space},
-		{"template Nd-old(" + spec.Name + ")", ndOld.Space},
-	}
-	if gp.Space != nil {
-		checks = append(checks, struct {
-			name string
-			sp   *statespace.Space
-		}{"template Gp(" + spec.Name + ")", gp.Space})
-	}
-	total := 0
-	for _, c := range checks {
-		if rep := modelcheck.CheckSpace(c.name, c.sp, modelcheck.Options{}); !rep.OK() {
-			return nil, fmt.Errorf("template: %w", rep.Err())
-		}
-		total += c.sp.NumStates()
-	}
-
+	total := m.States()
 	obs.Count(ctx, obs.CtrTemplateInstances, 1)
 	obs.Count(ctx, obs.CtrTemplateStates, int64(total))
 
 	return &Instance{
 		Spec:        spec,
-		Params:      spec.Params(),
-		Gd:          gd,
-		NdNew:       ndNew,
-		NdOld:       ndOld,
-		Rhos:        gp.Rhos,
-		GpStates:    gp.States,
-		GpMeanField: gp.MeanField,
-		GpSpace:     gp.Space,
+		Params:      sc.Params(spec.Theta),
+		Gd:          m.Gd,
+		NdNew:       m.NdNew,
+		NdOld:       m.NdOld,
+		Rhos:        m.Gp.Rhos,
+		GpStates:    m.Gp.States,
+		GpMeanField: m.Gp.MeanField,
+		GpSpace:     m.Gp.Space,
 		TotalStates: total,
 	}, nil
 }

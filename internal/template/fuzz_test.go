@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"guardedop/internal/core"
 	"guardedop/internal/robust"
 	"guardedop/internal/statespace"
 	"guardedop/internal/template"
@@ -44,9 +45,16 @@ func FuzzParseSpec(f *testing.F) {
 // so one input cannot spend the fuzzing budget on a huge generation.
 const fuzzMaxStates = 2048
 
-// FuzzBuildSpec feeds every spec Parse accepts to template.Build — the
-// path a POST /v1/scenario/curve body takes into the model generator. It
-// must never panic, and every error must be typed: a robust.ErrInvariant
+// noDefaultsSpec is the paper scenario without a defaults block: every
+// node carries its own rates.
+const noDefaultsSpec = `{"name":"no-defaults","theta":10000,"coverage":0.95,"alpha":6000,"beta":6000,
+"nodes":[{"name":"P1","lambda":1200,"p_ext":0.1,"mu_old":1e-8,"upgrade":{"mu_new":1e-4}},
+{"name":"P2","lambda":1200,"p_ext":0.1,"mu_old":1e-8}]}`
+
+// FuzzBuildSpec feeds every spec Parse accepts to template.Build and then
+// to the numeric scenario analyzer — the path a POST /v1/scenario/curve
+// body takes into the model generator and the translation layer. Neither
+// may panic, and every error must be typed: a robust.ErrInvariant
 // rejection or a statespace.ErrStateSpaceTooLarge limit.
 func FuzzBuildSpec(f *testing.F) {
 	addSpecSeeds(f)
@@ -65,6 +73,10 @@ func FuzzBuildSpec(f *testing.F) {
 	collide.Guard.Policy = template.PolicyPerNode
 	collide.Nodes[0].Name, collide.Nodes[1].Name = "ctn", "retired"
 	addSpec(f, collide)
+	f.Add([]byte(noDefaultsSpec))
+	typed := func(err error) bool {
+		return errors.Is(err, robust.ErrInvariant) || errors.Is(err, statespace.ErrStateSpaceTooLarge)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := template.Parse(data)
 		if err != nil {
@@ -73,9 +85,18 @@ func FuzzBuildSpec(f *testing.F) {
 		if spec.Limits.MaxStates == 0 || spec.Limits.MaxStates > fuzzMaxStates {
 			spec.Limits.MaxStates = fuzzMaxStates
 		}
-		if _, err := template.Build(context.Background(), spec); err != nil &&
-			!errors.Is(err, robust.ErrInvariant) && !errors.Is(err, statespace.ErrStateSpaceTooLarge) {
-			t.Fatalf("Build error %v wraps neither robust.ErrInvariant nor statespace.ErrStateSpaceTooLarge", err)
+		inst, err := template.Build(context.Background(), spec)
+		if err != nil {
+			if !typed(err) {
+				t.Fatalf("Build error %v wraps neither robust.ErrInvariant nor statespace.ErrStateSpaceTooLarge", err)
+			}
+			return
+		}
+		_, err = core.NewScenarioAnalyzer(core.ScenarioModels{
+			Params: inst.Params, Gd: inst.Gd, NdNew: inst.NdNew, NdOld: inst.NdOld, Rhos: inst.Rhos,
+		}, core.Options{Parametric: core.ParametricOff})
+		if err != nil && !typed(err) {
+			t.Fatalf("NewScenarioAnalyzer error %v wraps neither robust.ErrInvariant nor statespace.ErrStateSpaceTooLarge", err)
 		}
 	})
 }

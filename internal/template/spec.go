@@ -7,10 +7,11 @@
 // Gd, the performance-overhead model Gp, and the normal-mode models Nd)
 // are generated from a resolved scenario by internal/mdcd — the one
 // generator of the model family. This package parses, validates and
-// resolves a Spec into that scenario; Build runs the generators,
-// verifies every generated state space with internal/modelcheck, and
-// hands the results to internal/core, whose translation layer (Eqs. 5–21
-// generalized to N active processes) runs unchanged.
+// resolves a Spec into that scenario; Build runs mdcd.Generate, which
+// generates the models, verifies every generated state space once with
+// internal/modelcheck and solves the overhead measures, and the results
+// go to internal/core, whose translation layer (Eqs. 5–21 generalized to
+// N active processes) runs unchanged.
 //
 // The canonical two-node spec (PaperSpec) resolves to the paper's
 // scenario, so building it yields the paper's models — the same chains
@@ -218,27 +219,18 @@ func (s *Spec) resolve() (mdcd.Scenario, error) {
 	return sc, nil
 }
 
-// Params derives the translation-layer parameter set the analyzer needs:
-// θ, the safeguard rates, and the default node rates (heterogeneous
-// per-node overrides live in the generated models themselves; the Params
-// fields describe the scenario's baseline).
+// Params derives the translation-layer parameter set the analyzer needs
+// from the resolved scenario (mdcd.Scenario.Params): θ, the safeguard
+// rates, and the first upgraded node's rates with the defaults applied as
+// the scenario's baseline (heterogeneous per-node rates live in the
+// generated models themselves). The defaults block is optional when every
+// node carries its own rates. An invalid spec yields the zero Params.
 func (s *Spec) Params() mdcd.Params {
-	p := mdcd.Params{
-		Theta:    s.Theta,
-		Lambda:   s.Defaults.Lambda,
-		MuOld:    s.Defaults.MuOld,
-		Coverage: s.Coverage,
-		PExt:     s.Defaults.PExt,
-		Alpha:    s.Alpha,
-		Beta:     s.Beta,
+	sc, err := s.resolve()
+	if err != nil {
+		return mdcd.Params{}
 	}
-	for _, ns := range s.Nodes {
-		if ns.Upgrade != nil {
-			p.MuNew = ns.Upgrade.MuNew
-			break
-		}
-	}
-	return p
+	return sc.Params(s.Theta)
 }
 
 // Policy returns the spec's guard policy with the default applied.
