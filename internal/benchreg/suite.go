@@ -88,9 +88,10 @@ func evaluateBench(name string, mode core.ParametricMode) Benchmark {
 	}
 	if mode == core.ParametricOff {
 		// Three full-horizon solves per point (the RMGd
-		// transient+accumulated pass, the two RMNd transients), less the
-		// zero-length RMGd solve at φ = 0.
-		rules[obs.CtrSolvePasses] = Rule{Op: "eq", Value: 119}
+		// transient+accumulated pass, the two RMNd transients), with no
+		// pass for zero-length solves: the RMGd solve at φ = 0 and the two
+		// RMNd solves at φ = θ.
+		rules[obs.CtrSolvePasses] = Rule{Op: "eq", Value: 117}
 		rules[obs.CtrParametricHits] = Rule{Op: "eq", Value: 0}
 	} else {
 		rules[obs.CtrSolvePasses] = Rule{Op: "eq", Value: 0}

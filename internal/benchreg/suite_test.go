@@ -55,9 +55,11 @@ func TestSuiteCountersRepeat(t *testing.T) {
 
 	diffs := Compare(first, second, 0)
 	for _, d := range diffs {
-		// Wall-clock notes are legitimate on a noisy runner; any counter
-		// finding means a benchmark's counters are not deterministic.
-		if strings.HasPrefix(d.Kind, "counter") || d.Fail {
+		// Wall-clock findings, gating or not, are legitimate between two
+		// back-to-back runs on a noisy runner; any counter finding means a
+		// benchmark's counters are not deterministic, and a missing entry
+		// means the suite itself changed.
+		if strings.HasPrefix(d.Kind, "counter") || d.Kind == "missing" {
 			t.Errorf("back-to-back suite runs differ: %v", d)
 		}
 	}

@@ -159,7 +159,7 @@ func newFromModels(sm ScenarioModels, mode ParametricMode) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: stacking RMNd pair: %w", err)
 	}
-	pTheta, err := sm.NdNew.NoFailureProbability(p.Theta)
+	pTheta, err := sm.NdNew.NoFailureProbabilityContext(context.Background(), p.Theta)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving P(X''_theta in A''_1): %w", err)
 	}

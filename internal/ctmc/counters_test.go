@@ -24,7 +24,7 @@ func TestScopedSolveCountsUnpollutedByConcurrentSolves(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := c.Transient(pi0, 0.5); err != nil {
+				if _, err := transientAt(c, pi0, 0.5); err != nil {
 					return
 				}
 			}
@@ -34,7 +34,7 @@ func TestScopedSolveCountsUnpollutedByConcurrentSolves(t *testing.T) {
 	ctx, scope := obs.WithScope(context.Background())
 	const passes = 20
 	for i := 0; i < passes; i++ {
-		if _, err := c.TransientContext(ctx, pi0, float64(i+1)); err != nil {
+		if _, err := c.Transient(ctx, pi0, []float64{float64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,6 +21,24 @@ func twoState(t *testing.T, a, b float64) *Chain {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// transientAt solves π(t) as a series of one.
+func transientAt(c *Chain, pi0 []float64, t float64) ([]float64, error) {
+	pis, err := c.Transient(context.Background(), pi0, []float64{t})
+	if err != nil {
+		return nil, err
+	}
+	return pis[0], nil
+}
+
+// accumulatedAt solves L(t) = ∫₀ᵗ π(u)du as a series of one.
+func accumulatedAt(c *Chain, pi0 []float64, t float64) ([]float64, error) {
+	_, accs, err := c.TransientAccumulated(context.Background(), pi0, []float64{t})
+	if err != nil {
+		return nil, err
+	}
+	return accs[0], nil
 }
 
 // birthDeath builds an M/M/1-like truncated birth-death chain on n states.

@@ -9,9 +9,14 @@
 //
 // # Transient solution
 //
-// Two engines are provided and selected automatically by Transient /
-// Accumulated from the stiffness q·t and the chain size; neither has
-// tunable settings:
+// Transient (π(t)) and TransientAccumulated (π(t) together with
+// ∫₀ᵗ π(u)du) are the only automatic entry points. Both take a series of
+// time points and propagate incrementally between them; a point solve is
+// a series of one. Each gap runs on one of two engines, selected in one
+// place from the stiffness q·t and the chain size; neither has tunable
+// settings (TransientUniformization, AccumulatedUniformization,
+// TransientExpm and AccumulatedExpm force one engine, as references for
+// tests):
 //
 //   - Uniformization (Jensen's method) with Fox–Glynn-style Poisson weight
 //     computation and steady-state detection. This is exact up to

@@ -143,11 +143,11 @@ func TestAutoSelectionConsistency(t *testing.T) {
 	pi0, _ := c.PointMass(0)
 	// q*t around the budget boundary: q ≈ 50, so t = budget/50.
 	tBoundary := uniformizationBudget / 50
-	below, err := c.Transient(pi0, tBoundary*0.99)
+	below, err := transientAt(c, pi0, tBoundary*0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	above, err := c.Transient(pi0, tBoundary*1.01)
+	above, err := transientAt(c, pi0, tBoundary*1.01)
 	if err != nil {
 		t.Fatal(err)
 	}

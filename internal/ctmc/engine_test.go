@@ -22,7 +22,8 @@ func TestPropagateDriftBudgetScalesWithSteps(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return c.Transient(renorm, dt)
+		next, _, err := c.solve(context.Background(), renorm, dt, false)
+		return next, err
 	}
 	drifted := []float64{0.7, 0.3 + 3e-6} // mass 1 + 3e-6, past the 1e-6 floor
 
@@ -44,7 +45,7 @@ func TestPropagateDriftBudgetScalesWithSteps(t *testing.T) {
 	for i, v := range drifted {
 		norm[i] = v / total
 	}
-	want, err := c.Transient(norm, 1)
+	want, _, err := c.solve(context.Background(), norm, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +71,12 @@ func TestTransientSeriesLongManyGapGrid(t *testing.T) {
 	for i := range ts {
 		ts[i] = 0.01 * float64(i+1)
 	}
-	series, err := c.TransientSeries(pi0, ts)
+	series, err := c.Transient(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatalf("many-gap series failed: %v", err)
 	}
 	lastT := ts[len(ts)-1]
-	want, err := c.Transient(pi0, lastT)
+	want, err := transientAt(c, pi0, lastT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +89,12 @@ func TestAccumulatedSeriesMatchesPointwise(t *testing.T) {
 	c := birthDeath(t, 6, 2.0, 3.0)
 	pi0, _ := c.PointMass(0)
 	ts := []float64{5, 0.5, 2, 0, 5} // unsorted, duplicate, zero
-	accs, err := c.AccumulatedSeries(pi0, ts)
+	_, accs, err := c.TransientAccumulated(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, tt := range ts {
-		want, err := c.Accumulated(pi0, tt)
+		want, err := accumulatedAt(c, pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,24 +118,17 @@ func TestTransientAccumulatedSeriesConsistent(t *testing.T) {
 	c := birthDeath(t, 6, 2.0, 3.0)
 	pi0, _ := c.PointMass(0)
 	ts := []float64{0.5, 3, 1, 7}
-	pis, accs, err := c.TransientAccumulatedSeries(pi0, ts)
+	pis, _, err := c.TransientAccumulated(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPis, err := c.TransientSeries(pi0, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAccs, err := c.AccumulatedSeries(pi0, ts)
+	wantPis, err := c.Transient(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ts {
 		if d := sparse.L1Dist(pis[i], wantPis[i]); d > 1e-9 {
 			t.Errorf("t=%v: combined pi deviates by %g", ts[i], d)
-		}
-		if d := sparse.L1Dist(accs[i], wantAccs[i]); d != 0 {
-			t.Errorf("t=%v: combined acc deviates by %g", ts[i], d)
 		}
 	}
 }
@@ -175,17 +169,17 @@ func TestSolveOpsSeriesVsPointwise(t *testing.T) {
 	ts := []float64{1, 2.5, 4}
 
 	sctx, series := obs.WithScope(context.Background())
-	if _, _, err := c.TransientAccumulatedSeriesContext(sctx, pi0, ts); err != nil {
+	if _, _, err := c.TransientAccumulated(sctx, pi0, ts); err != nil {
 		t.Fatal(err)
 	}
 	seriesOps := series.Counter(obs.CtrSolvePasses)
 
 	pctx, point := obs.WithScope(context.Background())
 	for _, tt := range ts {
-		if _, err := c.TransientContext(pctx, pi0, tt); err != nil {
+		if _, err := c.Transient(pctx, pi0, []float64{tt}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.AccumulatedContext(pctx, pi0, tt); err != nil {
+		if _, _, err := c.TransientAccumulated(pctx, pi0, []float64{tt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,5 +190,79 @@ func TestSolveOpsSeriesVsPointwise(t *testing.T) {
 	}
 	if pointOps != int64(2*len(ts)) {
 		t.Errorf("point-wise cost %d solver passes, want %d", pointOps, 2*len(ts))
+	}
+}
+
+// The engine rule lives in solve alone: a series of one must reproduce the
+// forced-engine reference bit for bit, uniformization at q·t just below
+// the budget and the dense path just above it.
+func TestAutoSelectionMatchesForcedEngineBitwise(t *testing.T) {
+	c := birthDeath(t, 6, 2.0, 3.0)
+	pi0, _ := c.PointMass(0)
+	below := uniformizationBudget / c.q
+	for c.q*below > uniformizationBudget {
+		below = math.Nextafter(below, 0)
+	}
+	above := math.Nextafter(below, math.Inf(1))
+	for c.q*above <= uniformizationBudget {
+		above = math.Nextafter(above, math.Inf(1))
+	}
+	for _, tc := range []struct {
+		name            string
+		t               float64
+		wantPi, wantAcc func([]float64, float64) ([]float64, error)
+	}{
+		{"uniformization below budget", below, c.TransientUniformization, c.AccumulatedUniformization},
+		{"expm above budget", above, c.TransientExpm, c.AccumulatedExpm},
+	} {
+		pis, err := c.Transient(context.Background(), pi0, []float64{tc.t})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, accs, err := c.TransientAccumulated(context.Background(), pi0, []float64{tc.t})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPi, err := tc.wantPi(pi0, tc.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAcc, err := tc.wantAcc(pi0, tc.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitwise(t, tc.name+" pi", pis[0], wantPi)
+		assertBitwise(t, tc.name+" acc", accs[0], wantAcc)
+	}
+}
+
+func assertBitwise(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s[%d] = %v, want %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// A zero-length solve hands back pi0 on every engine and is no solver pass.
+func TestZeroLengthSolveIsNoPass(t *testing.T) {
+	c := birthDeath(t, 4, 2.0, 3.0)
+	pi0, _ := c.PointMass(0)
+	ctx, scope := obs.WithScope(context.Background())
+	if _, _, err := c.uniformize(ctx, pi0, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.transientExpm(ctx, pi0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.transientAccumulatedExpm(ctx, pi0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.TransientAccumulated(ctx, pi0, []float64{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := scope.Counter(obs.CtrSolvePasses); got != 0 {
+		t.Errorf("zero-length solves counted %d passes, want 0", got)
 	}
 }

@@ -49,7 +49,7 @@ func FuzzTwoStateTransient(f *testing.F) {
 		}
 		c := twoState(t, a, b)
 		pi0, _ := c.PointMass(0)
-		got, err := c.Transient(pi0, horizon)
+		got, err := transientAt(c, pi0, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -162,7 +162,7 @@ func TestSteadyStateResidualProperty(t *testing.T) {
 			}
 		}
 		pi0 := randomDistribution(rng, n)
-		long, err := c.Transient(pi0, 5000/math.Max(minExit, 1e-6))
+		long, err := transientAt(c, pi0, 5000/math.Max(minExit, 1e-6))
 		if err != nil {
 			return false
 		}
@@ -255,7 +255,7 @@ func TestStiffTransientMatchesAnalytic(t *testing.T) {
 	}
 	pi0, _ := c.PointMass(0)
 	tt := 1e4
-	got, err := c.Transient(pi0, tt)
+	got, err := transientAt(c, pi0, tt)
 	if err != nil {
 		t.Fatal(err)
 	}

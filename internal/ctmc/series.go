@@ -11,45 +11,28 @@ import (
 	"guardedop/internal/sparse"
 )
 
-// TransientSeries computes π(t) for every time point in ts (which need not
-// be sorted; the result is aligned with the input order). Rather than
-// solving from zero for each point, the distribution is propagated
-// incrementally between consecutive sorted times — for k points this costs
-// one transient solve per gap instead of one per horizon, which matters for
-// the long stiff horizons of the guarded-operation study.
-func (c *Chain) TransientSeries(pi0 []float64, ts []float64) ([][]float64, error) {
-	pis, _, err := c.seriesWalk(context.Background(), pi0, ts, false)
-	return pis, err
-}
-
-// TransientSeriesContext is TransientSeries under a caller-carried
-// context: the shared propagation emits one "ctmc.series" span covering
-// every per-gap solver pass.
-func (c *Chain) TransientSeriesContext(ctx context.Context, pi0 []float64, ts []float64) ([][]float64, error) {
+// Transient computes π(t) for every time point in ts (which need not be
+// sorted; the result is aligned with the input order). A point solve is a
+// series of one. Rather than solving from zero for each point, the
+// distribution is propagated incrementally between consecutive sorted
+// times — for k points this costs one solver pass per gap instead of one
+// per horizon, which matters for the long stiff horizons of the
+// guarded-operation study. Each gap runs on the engine the chain's
+// stiffness and size select, and the whole propagation emits one
+// "ctmc.series" span covering every per-gap solver pass, reported to the
+// obs scope/tracer the context carries.
+func (c *Chain) Transient(ctx context.Context, pi0 []float64, ts []float64) ([][]float64, error) {
 	pis, _, err := c.seriesWalk(ctx, pi0, ts, false)
 	return pis, err
 }
 
-// AccumulatedSeries computes L(t) = ∫₀ᵗ π(u)du for every time point in ts
-// (unsorted input is aligned like TransientSeries), sharing one incremental
-// propagation across the whole series: L(t_k) = L(t_{k−1}) + ∫ over the gap,
-// with the gap integral solved from the propagated distribution.
-func (c *Chain) AccumulatedSeries(pi0 []float64, ts []float64) ([][]float64, error) {
-	_, accs, err := c.seriesWalk(context.Background(), pi0, ts, true)
-	return accs, err
-}
-
-// TransientAccumulatedSeries computes both π(t) and L(t) = ∫₀ᵗ π(u)du for
-// every time point in ts in a single shared incremental pass — the solver
-// core of the curve engine, where every instant-of-time and accumulated
-// reward of a φ-grid point is a dot product against these two vectors.
-func (c *Chain) TransientAccumulatedSeries(pi0 []float64, ts []float64) (pis, accs [][]float64, err error) {
-	return c.seriesWalk(context.Background(), pi0, ts, true)
-}
-
-// TransientAccumulatedSeriesContext is TransientAccumulatedSeries under a
-// caller-carried context.
-func (c *Chain) TransientAccumulatedSeriesContext(ctx context.Context, pi0 []float64, ts []float64) (pis, accs [][]float64, err error) {
+// TransientAccumulated computes both π(t) and L(t) = ∫₀ᵗ π(u)du for every
+// time point in ts in a single shared incremental pass (aligned like
+// Transient): L(t_k) = L(t_{k−1}) + ∫ over the gap, with π and the gap
+// integral read off one solver pass. It is the solver core of the curve
+// engine, where every instant-of-time and accumulated reward of a φ-grid
+// point is a dot product against these two vectors.
+func (c *Chain) TransientAccumulated(ctx context.Context, pi0 []float64, ts []float64) (pis, accs [][]float64, err error) {
 	return c.seriesWalk(ctx, pi0, ts, true)
 }
 
@@ -96,19 +79,13 @@ func (c *Chain) seriesWalk(ctx context.Context, pi0, ts []float64, wantAcc bool)
 			if err != nil {
 				return nil, nil, err
 			}
+			next, gapAcc, err := c.solve(ctx, renorm, dt, wantAcc)
+			if err != nil {
+				return nil, nil, err
+			}
+			cur = next
 			if wantAcc {
-				next, gapAcc, err := c.transientAccumulated(ctx, renorm, dt)
-				if err != nil {
-					return nil, nil, err
-				}
-				cur = next
 				sparse.Axpy(cum, 1, gapAcc)
-			} else {
-				next, err := c.TransientContext(ctx, renorm, dt)
-				if err != nil {
-					return nil, nil, err
-				}
-				cur = next
 			}
 			steps++
 			last = t
@@ -139,7 +116,7 @@ const (
 // steps propagated so far. A deviation beyond the step-scaled budget — or a
 // non-finite or non-positive total — is a solver-integrity failure and is
 // returned as an error classifiable as robust.ErrNonFinite, instead of
-// silently handing the drifted vector to Transient to be rejected
+// silently handing the drifted vector to the per-gap solver to be rejected
 // mid-series with an unclassifiable message.
 func renormalizeDrift(pi []float64, steps int) ([]float64, error) {
 	total := 0.0

@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestTransientSeriesMatchesIndividualSolves(t *testing.T) {
 	c := birthDeath(t, 6, 2.0, 3.0)
 	pi0, _ := c.PointMass(0)
 	ts := []float64{5, 0.5, 2, 0, 5} // unsorted, with a duplicate and zero
-	series, err := c.TransientSeries(pi0, ts)
+	series, err := c.Transient(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +20,7 @@ func TestTransientSeriesMatchesIndividualSolves(t *testing.T) {
 		t.Fatalf("got %d results", len(series))
 	}
 	for i, tt := range ts {
-		want, err := c.Transient(pi0, tt)
+		want, err := transientAt(c, pi0, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestTransientSeriesStiff(t *testing.T) {
 	}
 	pi0, _ := c.PointMass(0)
 	ts := []float64{1000, 5000, 10000}
-	series, err := c.TransientSeries(pi0, ts)
+	series, err := c.Transient(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,21 +64,22 @@ func TestTransientSeriesStiff(t *testing.T) {
 func TestTransientSeriesValidation(t *testing.T) {
 	c := twoState(t, 1, 1)
 	pi0, _ := c.PointMass(0)
-	if _, err := c.TransientSeries(pi0, []float64{1, -2}); err == nil {
+	if _, err := c.Transient(context.Background(), pi0, []float64{1, -2}); err == nil {
 		t.Error("negative time accepted")
 	}
-	out, err := c.TransientSeries(pi0, nil)
+	out, err := c.Transient(context.Background(), pi0, nil)
 	if err != nil || out != nil {
 		t.Errorf("empty series: %v, %v", out, err)
 	}
-	if _, err := c.TransientSeries([]float64{1}, []float64{1}); err == nil {
+	if _, err := c.Transient(context.Background(), []float64{1}, []float64{1}); err == nil {
 		t.Error("bad distribution accepted")
 	}
 }
 
 // Chains past the dense-solver size limit must route through
-// uniformization even at stiff horizons, and still conserve total time in
-// the accumulated solution.
+// uniformization even at stiff horizons — bit for bit the forced
+// uniformization reference — and still conserve total time in the
+// accumulated solution.
 func TestLargeChainAccumulatedUsesUniformization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-chain solver test skipped in -short mode")
@@ -89,19 +91,25 @@ func TestLargeChainAccumulatedUsesUniformization(t *testing.T) {
 	// guard must still pick uniformization (dense expm on 2n x 2n would be
 	// the wrong tool here).
 	tt := (uniformizationBudget + 1e4) / (c.q * 1.02)
-	acc, err := c.Accumulated(pi0, tt)
+	pis, accs, err := c.TransientAccumulated(context.Background(), pi0, []float64{tt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sparse.Sum(acc)-tt) > 1e-6*tt {
-		t.Errorf("sum L(t) = %v, want %v", sparse.Sum(acc), tt)
-	}
-	pi, err := c.Transient(pi0, tt)
+	wantPi, err := c.TransientUniformization(pi0, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sparse.Sum(pi)-1) > 1e-9 {
-		t.Errorf("transient mass = %v", sparse.Sum(pi))
+	wantAcc, err := c.AccumulatedUniformization(pi0, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "pi", pis[0], wantPi)
+	assertBitwise(t, "acc", accs[0], wantAcc)
+	if math.Abs(sparse.Sum(accs[0])-tt) > 1e-6*tt {
+		t.Errorf("sum L(t) = %v, want %v", sparse.Sum(accs[0]), tt)
+	}
+	if math.Abs(sparse.Sum(pis[0])-1) > 1e-9 {
+		t.Errorf("transient mass = %v", sparse.Sum(pis[0]))
 	}
 }
 
@@ -125,7 +133,7 @@ func TestAbsorptionTimeCDFExponential(t *testing.T) {
 	c := singleExit(t, rate)
 	pi0, _ := c.PointMass(0)
 	ts := []float64{0, 1, 5, 10}
-	pis, err := c.TransientSeries(pi0, ts)
+	pis, err := c.Transient(context.Background(), pi0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}

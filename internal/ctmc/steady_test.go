@@ -175,7 +175,11 @@ func TestTransientAndAccumulatedRewards(t *testing.T) {
 	tt := 0.7
 	s := a + b
 	p0 := b/s + a/s*math.Exp(-s*tt)
-	r, err := c.TransientReward(pi0, tt, []float64{1, 0})
+	pi, err := transientAt(c, pi0, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := dotChecked([]float64{1, 0}, pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,11 @@ func TestTransientAndAccumulatedRewards(t *testing.T) {
 	}
 	// Accumulated time in state 0 over [0,t].
 	wantAcc := b/s*tt + a/(s*s)*(1-math.Exp(-s*tt))
-	ra, err := c.AccumulatedReward(pi0, tt, []float64{1, 0})
+	acc, err := accumulatedAt(c, pi0, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, err := dotChecked([]float64{1, 0}, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +218,11 @@ func TestAccumulatedUntilAbsorptionMatchesLongHorizon(t *testing.T) {
 	pi0, _ := c.PointMass(0)
 	rates := []float64{1, 0.5, 0}
 	exact := rates[0]/mu + rates[1]/lambda
-	longRun, err := c.AccumulatedReward(pi0, 5000, rates)
+	acc, err := accumulatedAt(c, pi0, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longRun, err := dotChecked(rates, acc)
 	if err != nil {
 		t.Fatal(err)
 	}

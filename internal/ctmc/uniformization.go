@@ -47,16 +47,23 @@ func (c *Chain) AccumulatedUniformization(pi0 []float64, t float64) ([]float64, 
 
 // uniformize runs the shared vector iteration. When wantAccumulated is true
 // the second return value holds ∫₀ᵗ π(u)du; the first holds π(t) always.
-// One call is one solver pass: it counts against the context's solve-pass
-// scope and, when a tracer is attached, emits one "ctmc.uniformize" span
-// annotated with the state count, the Poisson truncation point, and the
-// number of vector iterations actually spent.
+// One call with t > 0 is one solver pass: it counts against the context's
+// solve-pass scope and, when a tracer is attached, emits one
+// "ctmc.uniformize" span annotated with the state count, the Poisson
+// truncation point, and the number of vector iterations actually spent.
+// A zero-length solve returns a copy of pi0 and, as on the dense engines,
+// is no pass.
 func (c *Chain) uniformize(ctx context.Context, pi0 []float64, t float64, wantAccumulated bool) ([]float64, []float64, error) {
 	if err := c.checkDistribution(pi0); err != nil {
 		return nil, nil, err
 	}
 	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, nil, fmt.Errorf("%w: t=%g", errNegativeTime, t)
+	}
+	pi := append([]float64(nil), pi0...)
+	acc := make([]float64, c.n)
+	if t == 0 {
+		return pi, acc, nil
 	}
 	countSolveOp(ctx)
 	_, sp := obs.StartSpan(ctx, "ctmc.uniformize")
@@ -66,11 +73,6 @@ func (c *Chain) uniformize(ctx context.Context, pi0 []float64, t float64, wantAc
 	iterations := 0
 	defer func() { sp.SetInt("iterations", int64(iterations)) }()
 
-	pi := append([]float64(nil), pi0...)
-	acc := make([]float64, c.n)
-	if t == 0 {
-		return pi, acc, nil
-	}
 	q := c.q * uniformRatePadding
 	if q == 0 {
 		// All states absorbing: distribution never moves.

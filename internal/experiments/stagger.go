@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -85,7 +86,7 @@ func survival(p mdcd.Params, mus []float64, t float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return nd.NoFailureProbability(t)
+	return nd.NoFailureProbabilityContext(context.Background(), t)
 }
 
 func init() {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -18,7 +19,7 @@ func Table1Measures(phis []float64) ([]mdcd.GdMeasures, error) {
 	}
 	out := make([]mdcd.GdMeasures, 0, len(phis))
 	for _, phi := range phis {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			return nil, err
 		}

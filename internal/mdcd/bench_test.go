@@ -1,6 +1,9 @@
 package mdcd
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func BenchmarkBuildRMGd(b *testing.B) {
 	p := DefaultParams()
@@ -27,7 +30,7 @@ func BenchmarkRMGdMeasures(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gd.Measures(7000); err != nil {
+		if _, err := gd.MeasuresContext(context.Background(), 7000); err != nil {
 			b.Fatal(err)
 		}
 	}

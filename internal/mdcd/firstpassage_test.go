@@ -1,6 +1,7 @@
 package mdcd
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -42,7 +43,7 @@ func TestDetectionViaFirstPassage(t *testing.T) {
 	// Consistency with the truncated Table 1 measures: as phi -> theta-ish
 	// horizons the truncated conditional mean approaches the untruncated
 	// one from below.
-	m, err := gd.Measures(1e6)
+	m, err := gd.MeasuresContext(context.Background(), 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mdcd
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net/http"
@@ -89,7 +90,7 @@ func TestRMGdMeasurePartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phi := range []float64{0, 100, 1000, 5000, 10000} {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func TestRMGdPA1MatchesExponential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phi := range []float64{1000, 5000, 9000} {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestRMGdDetectionSplitByCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	phi := 7000.0
-	m, err := gd.Measures(phi)
+	m, err := gd.MeasuresContext(context.Background(), phi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestRMGdMeasuresMonotoneInPhi(t *testing.T) {
 	}
 	prevH, prevA1 := -1.0, 2.0
 	for _, phi := range []float64{0, 1000, 3000, 6000, 10000} {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func TestRMGdAtPhiZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := gd.Measures(0)
+	m, err := gd.MeasuresContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestRMGdIntTauHMatchesClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, phi := range []float64{2000, 7000} {
-		m, err := gd.Measures(phi)
+		m, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func TestRMGdFullCoverageEliminatesUndetectedFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := gd.Measures(8000)
+	m, err := gd.MeasuresContext(context.Background(), 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestRMGdZeroCoverageNeverDetects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := gd.Measures(8000)
+	m, err := gd.MeasuresContext(context.Background(), 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestRMNdNoFailureProbability(t *testing.T) {
 	// With lambda >> mu the time to failure is dominated by the first fault
 	// manifestation of either process: rate ≈ MuNew + MuOld.
 	for _, tt := range []float64{1000, 5000, 10000} {
-		got, err := nd.NoFailureProbability(tt)
+		got, err := nd.NoFailureProbabilityContext(context.Background(), tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +380,7 @@ func TestRMNdOldVersionIsReliable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := nd.NoFailureProbability(10000)
+	got, err := nd.NoFailureProbabilityContext(context.Background(), 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestRMNdZeroTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := nd.NoFailureProbability(0)
+	got, err := nd.NoFailureProbabilityContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +468,11 @@ func TestGdOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, err := a.Measures(5000)
+	ma, err := a.MeasuresContext(context.Background(), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := b.Measures(5000)
+	mb, err := b.MeasuresContext(context.Background(), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,32 +113,35 @@ func (r *RMGd) Table1Structures() map[string]*reward.Structure {
 	}
 }
 
-// Measures solves all Table 1 constituent measures at G-OP duration phi,
-// one full transient or accumulated solve per measure against the reward
-// vectors prebuilt at model construction. This is the point-wise reference
-// path; φ-grids should use MeasuresSeriesContext, which shares a single
-// incremental propagation across the whole grid.
-func (r *RMGd) Measures(phi float64) (GdMeasures, error) {
-	return r.MeasuresContext(context.Background(), phi)
-}
-
-// MeasuresContext is Measures under a caller-carried context: one
-// "mdcd.RMGd.measures" span covers the call, with a child
+// MeasuresContext solves all Table 1 constituent measures at G-OP
+// duration phi, one full transient or accumulated solve per measure
+// against the reward vectors prebuilt at model construction: the
+// point-wise reference path (Table 1's own path and the oracle the curve
+// engine is checked against). φ-grids should use MeasuresSeriesContext,
+// which shares a single incremental propagation across the whole grid.
+// One "mdcd.RMGd.measures" span covers the call, with a child
 // "mdcd.measure" span per Table 1 constituent so a trace shows which
 // measure each solver pass served.
 func (r *RMGd) MeasuresContext(ctx context.Context, phi float64) (GdMeasures, error) {
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMGd.measures")
 	defer sp.End()
 	sp.SetFloat("phi", phi)
-	ch, init := r.Space.Chain, r.Space.Initial
+	ch, init, ts := r.Space.Chain, r.Space.Initial, []float64{phi}
 	solve := func(name string, accumulated bool, rates []float64) (float64, error) {
 		mctx, msp := obs.StartSpan(ctx, "mdcd.measure")
 		defer msp.End()
 		msp.SetStr("measure", name)
+		var vecs [][]float64
+		var err error
 		if accumulated {
-			return ch.AccumulatedRewardContext(mctx, init, phi, rates)
+			_, vecs, err = ch.TransientAccumulated(mctx, init, ts)
+		} else {
+			vecs, err = ch.Transient(mctx, init, ts)
 		}
-		return ch.TransientRewardContext(mctx, init, phi, rates)
+		if err != nil {
+			return 0, err
+		}
+		return dotReward(name, rates, vecs[0])
 	}
 	var out GdMeasures
 	var err error
@@ -164,11 +167,11 @@ func (r *RMGd) MeasuresContext(ctx context.Context, phi float64) (GdMeasures, er
 	return out, nil
 }
 
-// MeasuresFromSolution assembles the Table 1 measures at duration phi from
+// measuresFromSolution assembles the Table 1 measures at duration phi from
 // an already-solved state-probability vector π(φ) and accumulated-sojourn
 // vector L(φ) = ∫₀^φ π(u)du of this model's chain. Every measure is a dot
 // product against the prebuilt reward vectors — no solver work.
-func (r *RMGd) MeasuresFromSolution(phi float64, pi, acc []float64) (GdMeasures, error) {
+func (r *RMGd) measuresFromSolution(phi float64, pi, acc []float64) (GdMeasures, error) {
 	out := GdMeasures{phi: phi}
 	var err error
 	if out.IntH, err = dotReward("int_h", r.vIntH, pi); err != nil {
@@ -196,19 +199,20 @@ func (r *RMGd) MeasuresFromSolution(phi float64, pi, acc []float64) (GdMeasures,
 // phis (unsorted input is aligned with the output) with one shared
 // incremental propagation: a single combined transient+accumulated solver
 // pass per gap of the sorted grid serves all six measures of every point,
-// instead of the six independent full-horizon solves Measures spends per
-// φ. The propagation runs inside one "mdcd.RMGd.measures_series" span.
+// instead of the six independent full-horizon solves MeasuresContext
+// spends per φ. The propagation runs inside one
+// "mdcd.RMGd.measures_series" span.
 func (r *RMGd) MeasuresSeriesContext(ctx context.Context, phis []float64) ([]GdMeasures, error) {
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMGd.measures_series")
 	defer sp.End()
 	sp.SetInt("points", int64(len(phis)))
-	pis, accs, err := r.Space.Chain.TransientAccumulatedSeriesContext(ctx, r.Space.Initial, phis)
+	pis, accs, err := r.Space.Chain.TransientAccumulated(ctx, r.Space.Initial, phis)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]GdMeasures, len(phis))
 	for i, phi := range phis {
-		if out[i], err = r.MeasuresFromSolution(phi, pis[i], accs[i]); err != nil {
+		if out[i], err = r.measuresFromSolution(phi, pis[i], accs[i]); err != nil {
 			return nil, fmt.Errorf("mdcd: measures at phi=%g: %w", phi, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package mdcd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -43,11 +44,15 @@ func TestRMNdNMatchesRMNdForTwoProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tt := range []float64{1000, 5000, 10000} {
-		a, err := hw.Chain.TransientReward(hw.Initial, tt, noFail)
+		pis, err := hw.Chain.Transient(context.Background(), hw.Initial, []float64{tt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ndn.NoFailureProbability(tt)
+		a, err := dotReward("P(no failure)", noFail, pis[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ndn.NoFailureProbabilityContext(context.Background(), tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +81,7 @@ func TestRMNdNSimultaneousUpgradesCompoundRisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := nd.NoFailureProbability(tEnd)
+		got, err := nd.NoFailureProbabilityContext(context.Background(), tEnd)
 		if err != nil {
 			t.Fatal(err)
 		}

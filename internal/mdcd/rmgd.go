@@ -25,7 +25,7 @@ type RMGd struct {
 
 	// Reward-rate vectors of the Table 1 structures, evaluated once over the
 	// generated space at build time: the predicates are pure functions of the
-	// marking, so re-evaluating them on every Measures call only burned time.
+	// marking, so re-evaluating them on every solve only burned time.
 	vIntH     []float64
 	vIntTauH  []float64
 	vIntHF    []float64

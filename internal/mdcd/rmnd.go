@@ -52,21 +52,19 @@ func BuildRMNd(p Params, mu1 float64) (*RMNd, error) {
 	return r, nil
 }
 
-// NoFailureProbability returns P(failure has not occurred by t), the
-// expected instant-of-time reward with predicate MARK(failure)==0 and rate 1
-// (paper §5.2.3).
-func (r *RMNd) NoFailureProbability(t float64) (float64, error) {
-	return r.NoFailureProbabilityContext(context.Background(), t)
-}
-
-// NoFailureProbabilityContext is NoFailureProbability under a
-// caller-carried context: the pass runs inside one
-// "mdcd.RMNd.no_failure" span.
+// NoFailureProbabilityContext returns P(failure has not occurred by t),
+// the expected instant-of-time reward with predicate MARK(failure)==0 and
+// rate 1 (paper §5.2.3). The pass runs inside one "mdcd.RMNd.no_failure"
+// span.
 func (r *RMNd) NoFailureProbabilityContext(ctx context.Context, t float64) (float64, error) {
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMNd.no_failure")
 	defer sp.End()
 	sp.SetFloat("t", t)
-	return r.Space.Chain.TransientRewardContext(ctx, r.Space.Initial, t, r.noFailRates)
+	pis, err := r.Space.Chain.Transient(ctx, r.Space.Initial, []float64{t})
+	if err != nil {
+		return 0, err
+	}
+	return dotReward("P(no failure)", r.noFailRates, pis[0])
 }
 
 // NoFailureRates returns the MARK(failure)==0 indicator vector prebuilt

@@ -77,7 +77,7 @@ func (p *RMNdPair) NoFailureSeriesContext(ctx context.Context, ts []float64) (fi
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMNdPair.no_failure_series")
 	defer sp.End()
 	sp.SetInt("points", int64(len(ts)))
-	pis, err := p.chain.TransientSeriesContext(ctx, p.pi0, ts)
+	pis, err := p.chain.Transient(ctx, p.pi0, ts)
 	if err != nil {
 		return nil, nil, err
 	}

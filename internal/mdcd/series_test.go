@@ -20,7 +20,7 @@ func relClose(t *testing.T, name string, got, want, relTol float64) {
 	}
 }
 
-// The shared-propagation series must agree with point-wise Measures within
+// The shared-propagation series must agree with point-wise MeasuresContext within
 // 1e-9 relative at paper parameters, including unsorted and duplicate φ.
 func TestRMGdMeasuresSeriesMatchesPointwise(t *testing.T) {
 	p := DefaultParams()
@@ -39,7 +39,7 @@ func TestRMGdMeasuresSeriesMatchesPointwise(t *testing.T) {
 		t.Fatalf("got %d results for %d durations", len(series), len(phis))
 	}
 	for i, phi := range phis {
-		want, err := gd.Measures(phi)
+		want, err := gd.MeasuresContext(context.Background(), phi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestRMGdMeasuresSeriesMatchesPointwise(t *testing.T) {
 // shared series propagation of the model's chain.
 func noFailureSeries(t *testing.T, nd *RMNd, ts []float64) []float64 {
 	t.Helper()
-	pis, err := nd.Space.Chain.TransientSeries(nd.Space.Initial, ts)
+	pis, err := nd.Space.Chain.Transient(context.Background(), nd.Space.Initial, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRMNdNoFailureSeriesMatchesPointwise(t *testing.T) {
 		ts := []float64{12000, 3000, 0, 20000, 12000}
 		series := noFailureSeries(t, nd, ts)
 		for i, tt := range ts {
-			want, err := nd.NoFailureProbability(tt)
+			want, err := nd.NoFailureProbabilityContext(context.Background(), tt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,11 +128,11 @@ func TestRMNdPairMatchesSeparateModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tt := range ts {
-		wantNew, err := ndNew.NoFailureProbability(tt)
+		wantNew, err := ndNew.NoFailureProbabilityContext(context.Background(), tt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantOld, err := ndOld.NoFailureProbability(tt)
+		wantOld, err := ndOld.NoFailureProbabilityContext(context.Background(), tt)
 		if err != nil {
 			t.Fatal(err)
 		}

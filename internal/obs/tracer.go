@@ -30,11 +30,12 @@ const (
 	// parametric-mode run.
 	CtrParametricHits      = "parametric.hits"
 	CtrParametricFallbacks = "parametric.fallbacks"
-	// CtrRetries counts batch-item retry attempts.
+	// CtrRetries is never emitted: RunBatch invokes each item once. It
+	// stays declared because the perfbench module reads it.
 	CtrRetries = "robust.retries"
-	// CtrAttempts counts every batch-item invocation, retries included;
-	// CtrPanics counts the recovered item panics. RunBatch emits both
-	// once per batch (CtrPanics only when nonzero).
+	// CtrAttempts counts every batch-item invocation; CtrPanics counts
+	// the recovered item panics. RunBatch emits both once per batch
+	// (CtrPanics only when nonzero).
 	CtrAttempts = "robust.attempts"
 	CtrPanics   = "robust.panics"
 	// CtrErrorsPrefix prefixes the per-class failed-item counters:
@@ -96,7 +97,7 @@ type Attr struct {
 	Value any
 }
 
-// Event is a timestamped point annotation within a span (a retry, a
+// Event is a timestamped point annotation within a span (a parametric
 // fallback, a steady-state detection).
 type Event struct {
 	Name string `json:"name"`

@@ -38,7 +38,7 @@ func buildModels(t *testing.T, p mdcd.Params) (*mdcd.RMGd, *mdcd.RMNd, *mdcd.RMN
 // shared series propagation of the model's chain.
 func noFailureSeries(t *testing.T, nd *mdcd.RMNd, ts []float64) []float64 {
 	t.Helper()
-	pis, err := nd.Space.Chain.TransientSeries(nd.Space.Initial, ts)
+	pis, err := nd.Space.Chain.Transient(context.Background(), nd.Space.Initial, ts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package parametric
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -174,14 +175,15 @@ func probeTol(scale float64) func(a, b float64) bool {
 // validateProbes cross-checks the closed-form system against the numeric
 // engine at five durations spanning the horizon: 0 (exact boundary), a
 // duration deep inside the fast transient, and three across the slow
-// scale. It deliberately uses per-point solves — the same
-// solve-then-project route the analyzer's numeric fallback takes — and
-// not the shared-propagation series engine, whose incremental error
-// accumulation (~3e-10 relative over a grid) would drown the comparison.
+// scale. Each probe is its own single-point solve — the exact route the
+// analyzer's numeric fallback takes (one combined transient+accumulated
+// RMGd pass, one transient pass per RMNd) — and not a shared propagation
+// over all five, whose incremental error accumulation (~3e-10 relative
+// over a grid) would drown the comparison.
 func (s *System) validateProbes(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd) error {
 	probes := []float64{0, p.Theta * 1e-3, p.Theta / 3, p.Theta * 2 / 3, p.Theta}
 
-	ch, init := gd.Space.Chain, gd.Space.Initial
+	ctx := context.Background()
 	okProb := probeTol(1)
 	okAcc := probeTol(1 + p.Theta)
 	for _, phi := range probes {
@@ -189,18 +191,11 @@ func (s *System) validateProbes(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd
 		if gerr != nil {
 			return fmt.Errorf("%w: RMGd at phi=%g: %v", ErrValidation, phi, gerr)
 		}
-		pi, serr := ch.Transient(init, phi)
+		ws, serr := gd.MeasuresSeriesContext(ctx, []float64{phi})
 		if serr != nil {
 			return fmt.Errorf("parametric: probe solve (RMGd) at phi=%g: %w", phi, serr)
 		}
-		acc, serr := ch.Accumulated(init, phi)
-		if serr != nil {
-			return fmt.Errorf("parametric: probe solve (RMGd) at phi=%g: %w", phi, serr)
-		}
-		w, serr := gd.MeasuresFromSolution(phi, pi, acc)
-		if serr != nil {
-			return fmt.Errorf("parametric: probe projection (RMGd) at phi=%g: %w", phi, serr)
-		}
+		w := ws[0]
 		fields := []struct {
 			name     string
 			got, ref float64
@@ -230,7 +225,7 @@ func (s *System) validateProbes(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd
 		{"RMNd(mu_old)", ndOld, s.ndOld},
 	} {
 		for _, t := range probes {
-			ref, serr := nd.model.NoFailureProbability(t)
+			ref, serr := nd.model.NoFailureProbabilityContext(ctx, t)
 			if serr != nil {
 				return fmt.Errorf("parametric: probe solve (%s) at t=%g: %w", nd.name, t, serr)
 			}

@@ -1,6 +1,7 @@
 package reward
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,11 @@ func poissonCounter(t *testing.T, r float64) *statespace.Space {
 // accumulatedImpulse is the expected impulse reward earned over [0, t]:
 // the accumulated reward of the structure's folded rate vector.
 func accumulatedImpulse(sp *statespace.Space, is *ImpulseStructure, t float64) (float64, error) {
-	return sp.Chain.AccumulatedReward(sp.Initial, t, is.rateVector(sp))
+	_, accs, err := sp.Chain.TransientAccumulated(context.Background(), sp.Initial, []float64{t})
+	if err != nil {
+		return 0, err
+	}
+	return expected(is.rateVector(sp), accs[0])
 }
 
 func TestAccumulatedImpulseCountsPoissonEvents(t *testing.T) {

@@ -12,9 +12,11 @@
 package reward
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"guardedop/internal/robust"
 	"guardedop/internal/san"
 	"guardedop/internal/statespace"
 )
@@ -78,7 +80,11 @@ func InstantOfTime(sp *statespace.Space, s *Structure, t float64) (float64, erro
 	if sp == nil {
 		return 0, errNilSpace
 	}
-	return sp.Chain.TransientReward(sp.Initial, t, s.RateVector(sp))
+	pis, err := sp.Chain.Transient(context.Background(), sp.Initial, []float64{t})
+	if err != nil {
+		return 0, err
+	}
+	return expected(s.RateVector(sp), pis[0])
 }
 
 // Accumulated returns the expected accumulated interval-of-time reward over
@@ -87,7 +93,25 @@ func Accumulated(sp *statespace.Space, s *Structure, t float64) (float64, error)
 	if sp == nil {
 		return 0, errNilSpace
 	}
-	return sp.Chain.AccumulatedReward(sp.Initial, t, s.RateVector(sp))
+	_, accs, err := sp.Chain.TransientAccumulated(context.Background(), sp.Initial, []float64{t})
+	if err != nil {
+		return 0, err
+	}
+	return expected(s.RateVector(sp), accs[0])
+}
+
+// expected contracts a reward-rate vector against a solved state vector
+// of the same space, guarding the result against non-finite
+// contamination.
+func expected(rates, vec []float64) (float64, error) {
+	sum := 0.0
+	for i, r := range rates {
+		sum += r * vec[i]
+	}
+	if err := robust.CheckFinite("reward", sum); err != nil {
+		return 0, fmt.Errorf("reward: %w", err)
+	}
+	return sum, nil
 }
 
 // SteadyState returns the expected steady-state reward of each structure,

@@ -14,12 +14,6 @@ import (
 
 // BatchOptions tunes RunBatch.
 type BatchOptions struct {
-	// Retries is the number of additional attempts per item after the
-	// first (default 0: one attempt).
-	Retries int
-	// Retryable reports whether a failure is transient and worth another
-	// attempt. Nil means no error is retried. Panics are never retried.
-	Retryable func(error) bool
 	// StopOnError aborts the batch at the first failed item instead of
 	// the default skip-and-record behaviour. A StopOnError batch always
 	// runs sequentially (Workers is ignored) so "nothing runs past the
@@ -61,9 +55,7 @@ func (o BatchOptions) workerCount(items int) int {
 type ItemError struct {
 	// Index is the item's position in the input slice.
 	Index int
-	// Attempts is how many times the item was tried.
-	Attempts int
-	// Err is the final failure.
+	// Err is the item's failure.
 	Err error
 }
 
@@ -78,9 +70,8 @@ type Report struct {
 	Completed int
 	// Failures lists the failed items in input order.
 	Failures []ItemError
-	// Metrics carries the batch's retry total (the invocations beyond
-	// each item's first) for callers that read it off the report rather
-	// than off a tracer's robust.retries counter. Every other batch fact
+	// Metrics.Retries is always 0: RunBatch invokes each item once. The
+	// field stays because the perfbench module reads it. Every batch fact
 	// is counted only through obs (see RunBatch).
 	Metrics struct {
 		Retries int64
@@ -102,7 +93,7 @@ func (r *Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d/%d items failed:", len(r.Failures), r.Total)
 	for _, f := range r.Failures {
-		fmt.Fprintf(&b, "\n  item %d (attempts %d): %v", f.Index, f.Attempts, f.Err)
+		fmt.Fprintf(&b, "\n  item %d: %v", f.Index, f.Err)
 	}
 	return b.String()
 }
@@ -156,23 +147,22 @@ func (p *PartialResult[R]) SuccessIndices() []int {
 type itemState[R any] struct {
 	res      R
 	err      error
-	attempts int
 	panicked bool
 	started  bool
 }
 
 // RunBatch runs fn over items on a bounded worker pool (see
-// BatchOptions.Workers) with per-item panic recovery, bounded retry of
-// transient failures, and cancellation between items. A failed item is
-// skipped and recorded in the report rather than aborting the batch
-// (unless opts.StopOnError is set).
+// BatchOptions.Workers) with per-item panic recovery and cancellation
+// between items. Each item is invoked once; a failed item is skipped and
+// recorded in the report rather than aborting the batch (unless
+// opts.StopOnError is set).
 //
 // The outcome is deterministic in everything but wall-clock: Results and
 // OK are aligned with the input, Report.Failures is sorted by item index,
-// and a given (items, fn, opts) produces the same successes, failures and
-// attempt counts at every worker count. Cancellation marks every item
-// that had not started when the context ended as ErrCanceled; items
-// already in flight run to completion and keep their results.
+// and a given (items, fn, opts) produces the same successes and failures
+// at every worker count. Cancellation marks every item that had not
+// started when the context ended as ErrCanceled; items already in flight
+// run to completion and keep their results.
 //
 // The returned PartialResult is never nil. The error is non-nil only when
 // the batch as a whole is unusable: the context was canceled (wraps
@@ -215,8 +205,7 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 			// batch span is shared, and workers never touch it.
 			ictx, isp := obs.StartSpan(ctx, "robust.item")
 			isp.SetInt("index", int64(i))
-			runAttempts(ictx, items[i], fn, opts, st)
-			isp.SetInt("attempts", int64(st.attempts))
+			st.res, st.err, st.panicked = runItem(ictx, items[i], fn)
 			isp.End()
 			if st.err != nil && opts.StopOnError {
 				stopped.Store(true)
@@ -241,7 +230,7 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 	// index regardless of completion order. The batch's counters are
 	// tallied here and emitted once below, not once per item, so a
 	// traced batch pays a handful of counter updates whatever its size.
-	var attempts, retries, panics int64
+	var panics int64
 	errs := make(map[Class]int64)
 	ctxErr := ctx.Err()
 	ran := 0
@@ -261,8 +250,6 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 			continue
 		}
 		ran++
-		attempts += int64(st.attempts)
-		retries += int64(st.attempts - 1)
 		if st.panicked {
 			panics++
 		}
@@ -271,15 +258,14 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 			if errors.Is(st.err, ErrCanceled) {
 				canceledItem = true
 			}
-			out.Report.Failures = append(out.Report.Failures, ItemError{Index: i, Attempts: st.attempts, Err: st.err})
+			out.Report.Failures = append(out.Report.Failures, ItemError{Index: i, Err: st.err})
 			continue
 		}
 		out.Results[i] = st.res
 		out.OK[i] = true
 		out.Report.Completed++
 	}
-	out.Report.Metrics.Retries = retries
-	obs.Count(ctx, obs.CtrAttempts, attempts)
+	obs.Count(ctx, obs.CtrAttempts, int64(ran))
 	if panics > 0 {
 		obs.Count(ctx, obs.CtrPanics, panics)
 	}
@@ -304,35 +290,7 @@ func RunBatch[T, R any](ctx context.Context, items []T, fn func(ctx context.Cont
 	return out, nil
 }
 
-// runAttempts executes one item's attempt/retry loop, recording the
-// outcome into st. A cancellation observed where a retry would otherwise
-// happen is recorded as the item's failure wrapped in ErrCanceled (with
-// the triggering attempt error still reachable via errors.Is), not as an
-// ordinary solver failure.
-func runAttempts[T, R any](ctx context.Context, item T, fn func(context.Context, T) (R, error), opts BatchOptions, st *itemState[R]) {
-	for {
-		st.attempts++
-		res, err, panicked := runItem(ctx, item, fn)
-		if err == nil {
-			st.res, st.err = res, nil
-			return
-		}
-		st.err = err
-		st.panicked = st.panicked || panicked
-		if panicked || st.attempts > opts.Retries ||
-			opts.Retryable == nil || !opts.Retryable(err) {
-			return
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			st.err = fmt.Errorf("%w: %v (interrupted retry of: %w)", ErrCanceled, cerr, err)
-			return
-		}
-		obs.AddEvent(ctx, "retry")
-		obs.Count(ctx, obs.CtrRetries, 1)
-	}
-}
-
-// runItem executes one attempt with panic recovery.
+// runItem invokes fn on one item with panic recovery.
 func runItem[T, R any](ctx context.Context, item T, fn func(context.Context, T) (R, error)) (res R, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -94,7 +94,7 @@ func TestRunBatchPanicRecovery(t *testing.T) {
 			panic("index out of range")
 		}
 		return v, nil
-	}, BatchOptions{Retries: 3, Retryable: func(error) bool { return true }})
+	}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,40 +104,6 @@ func TestRunBatchPanicRecovery(t *testing.T) {
 	f := pr.Report.Failures[0]
 	if !errors.Is(f.Err, ErrPanic) {
 		t.Errorf("panic not classified: %v", f.Err)
-	}
-	if f.Attempts != 1 {
-		t.Errorf("panicked item retried: attempts = %d, want 1", f.Attempts)
-	}
-}
-
-func TestRunBatchRetryTransient(t *testing.T) {
-	transient := errors.New("transient")
-	attempts := 0
-	pr, err := RunBatch(context.Background(), []int{1}, func(_ context.Context, v int) (int, error) {
-		attempts++
-		if attempts < 3 {
-			return 0, transient
-		}
-		return 42, nil
-	}, BatchOptions{Retries: 2, Retryable: func(err error) bool { return errors.Is(err, transient) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 3 || !pr.OK[0] || pr.Results[0] != 42 {
-		t.Errorf("attempts = %d, result = %+v", attempts, pr)
-	}
-}
-
-func TestRunBatchRetryExhausted(t *testing.T) {
-	transient := errors.New("transient")
-	pr, err := RunBatch(context.Background(), []int{1}, func(_ context.Context, v int) (int, error) {
-		return 0, transient
-	}, BatchOptions{Retries: 2, Retryable: func(err error) bool { return true }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pr.Report.Failures[0].Attempts; got != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", got)
 	}
 }
 
@@ -189,36 +155,21 @@ func TestRunBatchMinSuccessFraction(t *testing.T) {
 // the same items, fn and failure pattern produce identical Results, OK
 // and Report at every worker count.
 func TestRunBatchParallelMatchesSequential(t *testing.T) {
-	transient := errors.New("transient")
 	hard := errors.New("hard failure")
 	items := make([]int, 40)
 	for i := range items {
 		items[i] = i
 	}
-	mkFn := func() func(context.Context, int) (int, error) {
-		var mu sync.Mutex
-		tries := make(map[int]int)
-		return func(_ context.Context, v int) (int, error) {
-			mu.Lock()
-			tries[v]++
-			n := tries[v]
-			mu.Unlock()
-			switch {
-			case v%7 == 3:
-				return 0, fmt.Errorf("item %d: %w", v, hard)
-			case v%5 == 2 && n == 1:
-				return 0, fmt.Errorf("item %d: %w", v, transient)
-			}
-			return v * v, nil
+	fn := func(_ context.Context, v int) (int, error) {
+		if v%7 == 3 {
+			return 0, fmt.Errorf("item %d: %w", v, hard)
 		}
+		return v * v, nil
 	}
-	opts := BatchOptions{Retries: 2, Retryable: func(err error) bool { return errors.Is(err, transient) }}
 
-	opts.Workers = 1
-	seq, seqErr := RunBatch(context.Background(), items, mkFn(), opts)
+	seq, seqErr := RunBatch(context.Background(), items, fn, BatchOptions{Workers: 1})
 	for _, workers := range []int{2, 4, 16} {
-		opts.Workers = workers
-		par, parErr := RunBatch(context.Background(), items, mkFn(), opts)
+		par, parErr := RunBatch(context.Background(), items, fn, BatchOptions{Workers: workers})
 		if (seqErr == nil) != (parErr == nil) {
 			t.Fatalf("workers=%d error mismatch: %v vs %v", workers, seqErr, parErr)
 		}
@@ -231,7 +182,7 @@ func TestRunBatchParallelMatchesSequential(t *testing.T) {
 		}
 		for i, f := range par.Report.Failures {
 			sf := seq.Report.Failures[i]
-			if f.Index != sf.Index || f.Attempts != sf.Attempts || f.Err.Error() != sf.Err.Error() {
+			if f.Index != sf.Index || f.Err.Error() != sf.Err.Error() {
 				t.Errorf("workers=%d failure[%d] = %+v, want %+v", workers, i, f, sf)
 			}
 		}
@@ -260,46 +211,6 @@ func TestRunBatchParallelRunsConcurrently(t *testing.T) {
 	}
 	if got := batchWorkers(t, tr); got != 4 {
 		t.Errorf("resolved workers = %d, want 4", got)
-	}
-}
-
-// TestRunBatchCancelDuringRetry covers the mid-retry cancellation path: a
-// context canceled from inside fn between attempts must record the item
-// as canceled (not as an ordinary solver failure) and stop the batch with
-// the same remaining-items-canceled accounting as the pre-item check.
-func TestRunBatchCancelDuringRetry(t *testing.T) {
-	transient := errors.New("transient solver wobble")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	attempts := 0
-	pr, err := RunBatch(ctx, []int{10, 20, 30}, func(_ context.Context, v int) (int, error) {
-		if v == 20 {
-			attempts++
-			cancel() // dies mid-item; a retry would otherwise follow
-			return 0, transient
-		}
-		return v, nil
-	}, BatchOptions{Retries: 3, Retryable: func(err error) bool { return errors.Is(err, transient) }})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("batch error = %v, want ErrCanceled", err)
-	}
-	if attempts != 1 {
-		t.Errorf("canceled item retried anyway: attempts = %d", attempts)
-	}
-	if pr.Report.Succeeded() != 1 || pr.Report.Failed() != 2 {
-		t.Fatalf("report counts = %d ok / %d failed, want 1/2: %s",
-			pr.Report.Succeeded(), pr.Report.Failed(), pr.Report.Summary())
-	}
-	interrupted := pr.Report.Failures[0]
-	if interrupted.Index != 1 || !errors.Is(interrupted.Err, ErrCanceled) {
-		t.Errorf("interrupted item not recorded as canceled: %+v", interrupted)
-	}
-	if !errors.Is(interrupted.Err, transient) {
-		t.Errorf("interrupted item lost its triggering error: %v", interrupted.Err)
-	}
-	remaining := pr.Report.Failures[1]
-	if remaining.Index != 2 || !errors.Is(remaining.Err, ErrCanceled) || remaining.Attempts != 0 {
-		t.Errorf("remaining item not accounted as canceled: %+v", remaining)
 	}
 }
 
@@ -366,13 +277,12 @@ func TestRunBatchEmpty(t *testing.T) {
 }
 
 // TestRunBatchCollectsMetrics pins the counters a batch reports through
-// obs — attempts, retries, recovered panics and failed items by class —
-// and proves them identical at every worker count. The batch has a
-// clean item, an ill-conditioned failure, a panic, a transient failure
-// retried until its budget runs out, and a tail that a cancellation
-// leaves unstarted.
+// obs — attempts, recovered panics and failed items by class — and
+// proves them identical at every worker count. The batch has a clean
+// item, an ill-conditioned failure, a panic, an unclassified failure,
+// and a tail that a cancellation leaves unstarted.
 func TestRunBatchCollectsMetrics(t *testing.T) {
-	transient := errors.New("transient")
+	plain := errors.New("plain failure")
 	const head = 4 // items 0..3 run; items 4 and 5 are the canceled tail
 	run := func(workers int) map[string]int64 {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -391,7 +301,6 @@ func TestRunBatchCollectsMetrics(t *testing.T) {
 				<-ctx.Done()
 			}
 		}
-		attempts3 := 0
 		pr, err := RunBatch(obs.WithTracer(ctx, tr), []int{0, 1, 2, 3, 4, 5}, func(_ context.Context, v int) (int, error) {
 			switch v {
 			case 0:
@@ -404,30 +313,27 @@ func TestRunBatchCollectsMetrics(t *testing.T) {
 				settle()
 				panic("boom")
 			case 3:
-				if attempts3++; attempts3 == 3 {
-					settle()
-				}
-				return 0, fmt.Errorf("v=3: %w", transient)
+				settle()
+				return 0, fmt.Errorf("v=3: %w", plain)
 			}
 			t.Errorf("workers=%d: tail item %d ran after the cancellation", workers, v)
 			return v, nil
-		}, BatchOptions{Retries: 2, Retryable: func(err error) bool { return errors.Is(err, transient) }, Workers: workers})
+		}, BatchOptions{Workers: workers})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
 		}
-		if got := pr.Report.Metrics.Retries; got != 2 {
-			t.Errorf("workers=%d: report retries = %d, want 2", workers, got)
+		if pr.Report.Failed() != 5 {
+			t.Errorf("workers=%d: %d failures, want 5: %s", workers, pr.Report.Failed(), pr.Report.Summary())
 		}
 		if got := batchWorkers(t, tr); got != int64(workers) {
 			t.Errorf("robust.batch workers attr = %d, want %d", got, workers)
 		}
 		return tr.Counters()
 	}
-	// Item 3 is retried twice after its first attempt: 1+1+1+3 attempts;
-	// the unstarted tail counts as two canceled items and no attempts.
+	// Each head item is invoked once; the unstarted tail counts as two
+	// canceled items and no attempts.
 	want := map[string]int64{
-		obs.CtrAttempts: 6,
-		obs.CtrRetries:  2,
+		obs.CtrAttempts: head,
 		obs.CtrPanics:   1,
 		obs.CtrErrorsPrefix + string(ClassIllConditioned): 1,
 		obs.CtrErrorsPrefix + string(ClassPanic):          1,

@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,10 +34,11 @@ func TestGenerateTwoStateCycle(t *testing.T) {
 		t.Errorf("initial distribution sums to %v", sparse.Sum(sp.Initial))
 	}
 	// Transient solution should match the analytic two-state chain.
-	pi, err := sp.Chain.Transient(sp.Initial, 0.5)
+	pis, err := sp.Chain.Transient(context.Background(), sp.Initial, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pi := pis[0]
 	var inP1 float64
 	for i, mk := range sp.States {
 		if mk.Get(p1) == 1 {
