@@ -35,10 +35,12 @@ type solvedPoint struct {
 // solveCurvePoints runs the engine's solve stage: the valid φ are sorted,
 // split into contiguous segments of curveChunkSize, and each segment is
 // solved with two shared incremental passes — one combined
-// transient+accumulated series over RMGd for all six Table 1 measures, and
-// one transient series over the stacked RMNd pair for both no-failure
-// probabilities. That is 2 solver passes per grid point; the point-wise
-// reference path spends 8.
+// transient+accumulated series over RMGd for every RMGd measure, and one
+// transient series over the stacked RMNd pair for both no-failure
+// probabilities. That is 2 solver passes per grid point. The production
+// point path (Evaluate) spends 3; 8 is the per-measure oracle the
+// equivalence tests check against (RMGd.MeasuresContext, one pass per
+// RMGd measure, plus one per RMNd).
 func (a *Analyzer) solveCurvePoints(ctx context.Context, phis []float64, workers int) []solvedPoint {
 	pts := make([]solvedPoint, len(phis))
 	theta := a.params.Theta

@@ -209,6 +209,32 @@ func benchGrid(theta float64) []float64 {
 	return SweepGrid(theta, 512)
 }
 
+// The closed-form point query allocates nothing on an untraced context
+// (docs/PARAMETRIC.md): the measure set is iterated, not captured in
+// closures, so no GdMeasures value escapes to the heap.
+func TestEvaluateParametricAllocatesNothing(t *testing.T) {
+	p := mdcd.DefaultParams()
+	a, err := NewAnalyzerWithOptions(p, Options{Parametric: ParametricAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Parametric() {
+		t.Fatal("parametric layer inactive")
+	}
+	ctx := context.Background()
+	grid := benchGrid(p.Theta)
+	i := 0
+	allocs := testing.AllocsPerRun(len(grid), func() {
+		if _, err := a.EvaluateContext(ctx, grid[i%len(grid)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("EvaluateContext under ParametricAuto: %v allocs/op, want 0", allocs)
+	}
+}
+
 func BenchmarkEvaluateParametric(b *testing.B) {
 	p := mdcd.DefaultParams()
 	a, err := NewAnalyzerWithOptions(p, Options{Parametric: ParametricAuto})

@@ -41,6 +41,16 @@ func accumulatedAt(c *Chain, pi0 []float64, t float64) ([]float64, error) {
 	return accs[0], nil
 }
 
+// dot is Σ r·v; ctmc solves distributions only, and reward contracts
+// them in production.
+func dot(rates, v []float64) float64 {
+	sum := 0.0
+	for i, r := range rates {
+		sum += r * v[i]
+	}
+	return sum
+}
+
 // birthDeath builds an M/M/1-like truncated birth-death chain on n states.
 func birthDeath(t *testing.T, n int, lambda, mu float64) *Chain {
 	t.Helper()

@@ -70,20 +70,6 @@ func TestSteadyStateSORRejectsAbsorbing(t *testing.T) {
 	}
 }
 
-func TestSteadyStateRewardMatchesManual(t *testing.T) {
-	c := twoState(t, 1, 1)
-	r, err := c.SteadyStateRewards([]float64{0, 2}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r) != 2 || math.Abs(r[0]-1) > 1e-10 || math.Abs(r[1]-1) > 1e-10 {
-		t.Errorf("steady rewards = %v, want [1 1]", r)
-	}
-	if _, err := c.SteadyStateRewards([]float64{0, 2}, []float64{1}); err == nil {
-		t.Error("accepted wrong-length reward vector")
-	}
-}
-
 // The SOR sweeps (relaxation factor 1, i.e. Gauss-Seidel) that solve
 // chains above directSteadyStateLimit must agree with the direct solve.
 func TestSORWithRelaxation(t *testing.T) {
@@ -179,11 +165,7 @@ func TestTransientAndAccumulatedRewards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := dotChecked([]float64{1, 0}, pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-p0) > 1e-10 {
+	if r := dot([]float64{1, 0}, pi); math.Abs(r-p0) > 1e-10 {
 		t.Errorf("transient reward = %v, want %v", r, p0)
 	}
 	// Accumulated time in state 0 over [0,t].
@@ -192,11 +174,7 @@ func TestTransientAndAccumulatedRewards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := dotChecked([]float64{1, 0}, acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ra-wantAcc) > 1e-9 {
+	if ra := dot([]float64{1, 0}, acc); math.Abs(ra-wantAcc) > 1e-9 {
 		t.Errorf("accumulated reward = %v, want %v", ra, wantAcc)
 	}
 }
@@ -222,11 +200,7 @@ func TestAccumulatedUntilAbsorptionMatchesLongHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	longRun, err := dotChecked(rates, acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(exact-longRun) > 1e-6*exact {
+	if longRun := dot(rates, acc); math.Abs(exact-longRun) > 1e-6*exact {
 		t.Errorf("until-absorption %v vs long-horizon %v", exact, longRun)
 	}
 }

@@ -1,11 +1,6 @@
 package ctmc
 
-import (
-	"context"
-	"fmt"
-
-	"guardedop/internal/robust"
-)
+import "context"
 
 // uniformizationBudget is the largest q·t for which uniformization is chosen
 // automatically. Beyond it (stiff horizons) the dense matrix exponential is
@@ -31,34 +26,4 @@ func (c *Chain) solve(ctx context.Context, pi0 []float64, t float64, wantAcc boo
 	}
 	pi, err = c.transientExpm(ctx, pi0, t)
 	return pi, nil, err
-}
-
-// SteadyStateRewards returns Σ_s r[s]·π_s for each rate-reward vector r in
-// rates, against one solve of the stationary distribution π.
-func (c *Chain) SteadyStateRewards(rates ...[]float64) ([]float64, error) {
-	pi, err := c.SteadyState()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(rates))
-	for i, r := range rates {
-		if out[i], err = dotChecked(r, pi); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func dotChecked(rates, pi []float64) (float64, error) {
-	if len(rates) != len(pi) {
-		return 0, fmt.Errorf("ctmc: reward vector has length %d, want %d", len(rates), len(pi))
-	}
-	sum := 0.0
-	for i, r := range rates {
-		sum += r * pi[i]
-	}
-	if err := robust.CheckFinite("reward", sum); err != nil {
-		return 0, fmt.Errorf("ctmc: %w", err)
-	}
-	return sum, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"guardedop/internal/robust"
@@ -449,6 +450,57 @@ func TestTable1StructuresExposed(t *testing.T) {
 	failed.Set(gd.Failure, 1)
 	if structs["P(A1)"].Rate(failed) != 0 {
 		t.Error("P(A1) rate in failed marking != 0")
+	}
+}
+
+// Every float64 field of GdMeasures is filled by exactly one entry of
+// GdMeasureDefs, and AssembleGdMeasures and Values are inverse maps.
+func TestGdMeasureDefsComplete(t *testing.T) {
+	typ := reflect.TypeOf(GdMeasures{})
+	filledBy := map[string]int{}
+	names := map[string]bool{}
+	table1 := 0
+	for k, d := range GdMeasureDefs {
+		if names[d.Name] {
+			t.Errorf("measure name %q declared twice", d.Name)
+		}
+		names[d.Name] = true
+		if d.Table1 {
+			table1++
+		}
+		var unit [NumGdMeasures]float64
+		unit[k] = 1
+		m := reflect.ValueOf(AssembleGdMeasures(0, unit))
+		hits := 0
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() || f.Type.Kind() != reflect.Float64 || m.Field(i).Float() == 0 {
+				continue
+			}
+			hits++
+			if prev, dup := filledBy[f.Name]; dup {
+				t.Errorf("field %s filled by %s and %s", f.Name, GdMeasureDefs[prev].Name, d.Name)
+			}
+			filledBy[f.Name] = k
+		}
+		if hits != 1 {
+			t.Errorf("measure %s fills %d fields, want 1", d.Name, hits)
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() && f.Type.Kind() == reflect.Float64 {
+			if _, ok := filledBy[f.Name]; !ok {
+				t.Errorf("field %s is filled by no measure definition", f.Name)
+			}
+		}
+	}
+	if table1 != 4 {
+		t.Errorf("%d Table 1 measures, want 4", table1)
+	}
+	v := [NumGdMeasures]float64{1, 2, 3, 4, 5, 6}
+	m := AssembleGdMeasures(7, v)
+	if m.Values() != v || m.phi != 7 {
+		t.Errorf("assemble/values round trip: %v (phi %g), want %v (phi 7)", m.Values(), m.phi, v)
 	}
 }
 

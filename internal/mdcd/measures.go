@@ -6,7 +6,6 @@ import (
 
 	"guardedop/internal/obs"
 	"guardedop/internal/reward"
-	"guardedop/internal/robust"
 	"guardedop/internal/san"
 )
 
@@ -41,15 +40,6 @@ type GdMeasures struct {
 	phi float64
 }
 
-// WithPhi returns a copy of m with the duration used by
-// MeanDetectionTime set to phi. It exists for assemblers outside the
-// package (the parametric layer) that fill the measure fields without
-// going through this package's solvers.
-func (m GdMeasures) WithPhi(phi float64) GdMeasures {
-	m.phi = phi
-	return m
-}
-
 // PDetected returns P(an error has been detected by φ), whether or not the
 // recovered system subsequently failed.
 func (m GdMeasures) PDetected() float64 { return m.IntH + m.IntHF }
@@ -70,138 +60,149 @@ func (m GdMeasures) MeanDetectionTime() float64 {
 	return (m.phi*pDet - m.AccDetected) / pDet
 }
 
-// structIntH is the Table 1 reward structure for ∫h.
-func (r *RMGd) structIntH() *reward.Structure {
-	return reward.NewStructure().Add("detected && !failure", func(mk san.Marking) bool {
-		return mk.Get(r.Detected) == 1 && mk.Get(r.Failure) == 0
-	}, 1)
+// NumGdMeasures is the size of the RMGd measure set: the four Table 1
+// measures plus P(A4) and acc_detected.
+const NumGdMeasures = 6
+
+// GdMeasure defines one RMGd constituent measure. GdMeasureDefs is the
+// one declaration of the set: every solver path (point-wise, series,
+// closed form) iterates it, and value arrays are indexed like it.
+type GdMeasure struct {
+	// Name labels the measure in spans, errors and Table1Structures.
+	Name string
+	// Accumulated marks an interval-of-time reward over [0, φ], read off
+	// L(φ) = ∫₀^φ π(u)du; otherwise the measure is an instant-of-time
+	// reward at φ, read off π(φ).
+	Accumulated bool
+	// Table1 marks the measures of the paper's Table 1.
+	Table1 bool
+	// pairs is the reward structure over the detected and failure marks.
+	pairs []gdPair
 }
 
-// structIntTauH is the Table 1 reward structure for ∫τh.
-func (r *RMGd) structIntTauH() *reward.Structure {
-	return reward.NewStructure().
-		Add("!detected", func(mk san.Marking) bool {
-			return mk.Get(r.Detected) == 0
-		}, 1).
-		Add("!detected && failure", func(mk san.Marking) bool {
-			return mk.Get(r.Detected) == 0 && mk.Get(r.Failure) == 1
-		}, -1)
+// gdPair is one predicate-rate pair of an RMGd reward structure: it
+// holds in markings with the given detected and failure marks (anyMark
+// matches every failure mark).
+type gdPair struct {
+	name              string
+	detected, failure int
+	rate              float64
 }
 
-// structIntHF is the Table 1 reward structure for ∫∫hf.
-func (r *RMGd) structIntHF() *reward.Structure {
-	return reward.NewStructure().Add("detected && failure", func(mk san.Marking) bool {
-		return mk.Get(r.Detected) == 1 && mk.Get(r.Failure) == 1
-	}, 1)
+const anyMark = -1
+
+// GdMeasureDefs declares the RMGd measures in GdMeasures field order (see
+// the field docs for what each one measures). Callers must not modify it.
+var GdMeasureDefs = [NumGdMeasures]GdMeasure{
+	{Name: "int_h", Table1: true, pairs: []gdPair{{"detected && !failure", 1, 0, 1}}},
+	{Name: "int_tau_h", Accumulated: true, Table1: true, pairs: []gdPair{
+		{"!detected", 0, anyMark, 1},
+		{"!detected && failure", 0, 1, -1},
+	}},
+	{Name: "int_int_h_f", Table1: true, pairs: []gdPair{{"detected && failure", 1, 1, 1}}},
+	{Name: "P(A1)", Table1: true, pairs: []gdPair{{"!detected && !failure", 0, 0, 1}}},
+	{Name: "P(A4)", pairs: []gdPair{{"!detected && failure", 0, 1, 1}}},
+	{Name: "acc_detected", Accumulated: true, pairs: []gdPair{{"detected", 1, anyMark, 1}}},
 }
 
-// structPA1 is the Table 1 reward structure for P(X′_φ ∈ A′₁).
-func (r *RMGd) structPA1() *reward.Structure {
-	return reward.NewStructure().Add("!detected && !failure", func(mk san.Marking) bool {
-		return mk.Get(r.Detected) == 0 && mk.Get(r.Failure) == 0
-	}, 1)
-}
-
-// Table1Structures returns the named Table 1 reward structures, keyed by the
-// paper's measure notation. Used for diagnostics and the table1 experiment.
-func (r *RMGd) Table1Structures() map[string]*reward.Structure {
-	return map[string]*reward.Structure{
-		"int_h":       r.structIntH(),
-		"int_tau_h":   r.structIntTauH(),
-		"int_int_h_f": r.structIntHF(),
-		"P(A1)":       r.structPA1(),
+// AssembleGdMeasures maps a value array indexed like GdMeasureDefs to the
+// measures at duration phi.
+func AssembleGdMeasures(phi float64, v [NumGdMeasures]float64) GdMeasures {
+	return GdMeasures{
+		IntH: v[0], IntTauH: v[1], IntHF: v[2], PA1: v[3],
+		PUndetectedFailure: v[4], AccDetected: v[5], phi: phi,
 	}
 }
 
-// MeasuresContext solves all Table 1 constituent measures at G-OP
-// duration phi, one full transient or accumulated solve per measure
-// against the reward vectors prebuilt at model construction: the
-// point-wise reference path (Table 1's own path and the oracle the curve
-// engine is checked against). φ-grids should use MeasuresSeriesContext,
-// which shares a single incremental propagation across the whole grid.
-// One "mdcd.RMGd.measures" span covers the call, with a child
-// "mdcd.measure" span per Table 1 constituent so a trace shows which
-// measure each solver pass served.
+// Values returns the measures as an array indexed like GdMeasureDefs.
+func (m GdMeasures) Values() [NumGdMeasures]float64 {
+	return [NumGdMeasures]float64{m.IntH, m.IntTauH, m.IntHF, m.PA1, m.PUndetectedFailure, m.AccDetected}
+}
+
+// structure builds d's reward structure over this model's places.
+func (r *RMGd) structure(d *GdMeasure) *reward.Structure {
+	s := reward.NewStructure()
+	for _, p := range d.pairs {
+		s.Add(p.name, func(mk san.Marking) bool {
+			return mk.Get(r.Detected) == p.detected && (p.failure == anyMark || mk.Get(r.Failure) == p.failure)
+		}, p.rate)
+	}
+	return s
+}
+
+// Table1Structures returns the Table 1 reward structures, keyed by the
+// measure names. Used for diagnostics and the table1 experiment.
+func (r *RMGd) Table1Structures() map[string]*reward.Structure {
+	out := make(map[string]*reward.Structure)
+	for k := range GdMeasureDefs {
+		if d := &GdMeasureDefs[k]; d.Table1 {
+			out[d.Name] = r.structure(d)
+		}
+	}
+	return out
+}
+
+// value contracts measure k's rate vector against the solution it reads:
+// acc = L(φ) for an accumulated measure, pi = π(φ) otherwise.
+func (r *RMGd) value(k int, pi, acc []float64) (float64, error) {
+	vec := pi
+	if GdMeasureDefs[k].Accumulated {
+		vec = acc
+	}
+	return reward.Expected(GdMeasureDefs[k].Name, r.rates[k], vec)
+}
+
+// MeasuresContext solves every RMGd measure at G-OP duration phi, one
+// full transient or accumulated solve per measure against the rate
+// vectors prebuilt at model construction: the point-wise reference path
+// (Table 1's own path and the oracle the curve engine is checked
+// against). φ-grids should use MeasuresSeriesContext, which shares a
+// single incremental propagation across the whole grid. One
+// "mdcd.RMGd.measures" span covers the call, with a child "mdcd.measure"
+// span per measure so a trace shows which measure each solver pass
+// served.
 func (r *RMGd) MeasuresContext(ctx context.Context, phi float64) (GdMeasures, error) {
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMGd.measures")
 	defer sp.End()
 	sp.SetFloat("phi", phi)
-	ch, init, ts := r.Space.Chain, r.Space.Initial, []float64{phi}
-	solve := func(name string, accumulated bool, rates []float64) (float64, error) {
-		mctx, msp := obs.StartSpan(ctx, "mdcd.measure")
-		defer msp.End()
-		msp.SetStr("measure", name)
-		var vecs [][]float64
+	var v [NumGdMeasures]float64
+	for k := range GdMeasureDefs {
 		var err error
-		if accumulated {
-			_, vecs, err = ch.TransientAccumulated(mctx, init, ts)
-		} else {
-			vecs, err = ch.Transient(mctx, init, ts)
+		if v[k], err = r.solveMeasure(ctx, k, phi); err != nil {
+			return GdMeasures{}, err
 		}
+	}
+	return AssembleGdMeasures(phi, v), nil
+}
+
+// solveMeasure runs measure k's own solver pass at phi inside one
+// "mdcd.measure" span.
+func (r *RMGd) solveMeasure(ctx context.Context, k int, phi float64) (float64, error) {
+	ctx, sp := obs.StartSpan(ctx, "mdcd.measure")
+	defer sp.End()
+	sp.SetStr("measure", GdMeasureDefs[k].Name)
+	ch, init, ts := r.Space.Chain, r.Space.Initial, []float64{phi}
+	if GdMeasureDefs[k].Accumulated {
+		_, accs, err := ch.TransientAccumulated(ctx, init, ts)
 		if err != nil {
 			return 0, err
 		}
-		return dotReward(name, rates, vecs[0])
+		return r.value(k, nil, accs[0])
 	}
-	var out GdMeasures
-	var err error
-	if out.IntH, err = solve("int_h", false, r.vIntH); err != nil {
-		return out, err
+	pis, err := ch.Transient(ctx, init, ts)
+	if err != nil {
+		return 0, err
 	}
-	if out.IntTauH, err = solve("int_tau_h", true, r.vIntTauH); err != nil {
-		return out, err
-	}
-	if out.IntHF, err = solve("int_int_h_f", false, r.vIntHF); err != nil {
-		return out, err
-	}
-	if out.PA1, err = solve("P(A1)", false, r.vPA1); err != nil {
-		return out, err
-	}
-	if out.PUndetectedFailure, err = solve("P(A4)", false, r.vUndet); err != nil {
-		return out, err
-	}
-	if out.AccDetected, err = solve("acc_detected", true, r.vDetected); err != nil {
-		return out, err
-	}
-	out.phi = phi
-	return out, nil
+	return r.value(k, pis[0], nil)
 }
 
-// measuresFromSolution assembles the Table 1 measures at duration phi from
-// an already-solved state-probability vector π(φ) and accumulated-sojourn
-// vector L(φ) = ∫₀^φ π(u)du of this model's chain. Every measure is a dot
-// product against the prebuilt reward vectors — no solver work.
-func (r *RMGd) measuresFromSolution(phi float64, pi, acc []float64) (GdMeasures, error) {
-	out := GdMeasures{phi: phi}
-	var err error
-	if out.IntH, err = dotReward("int_h", r.vIntH, pi); err != nil {
-		return out, err
-	}
-	if out.IntTauH, err = dotReward("int_tau_h", r.vIntTauH, acc); err != nil {
-		return out, err
-	}
-	if out.IntHF, err = dotReward("int_int_h_f", r.vIntHF, pi); err != nil {
-		return out, err
-	}
-	if out.PA1, err = dotReward("P(A1)", r.vPA1, pi); err != nil {
-		return out, err
-	}
-	if out.PUndetectedFailure, err = dotReward("P(A4)", r.vUndet, pi); err != nil {
-		return out, err
-	}
-	if out.AccDetected, err = dotReward("acc_detected", r.vDetected, acc); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// MeasuresSeriesContext solves the Table 1 measures for every duration in
+// MeasuresSeriesContext solves the RMGd measures for every duration in
 // phis (unsorted input is aligned with the output) with one shared
 // incremental propagation: a single combined transient+accumulated solver
-// pass per gap of the sorted grid serves all six measures of every point,
-// instead of the six independent full-horizon solves MeasuresContext
-// spends per φ. The propagation runs inside one
-// "mdcd.RMGd.measures_series" span.
+// pass per gap of the sorted grid serves every measure of every point,
+// instead of the per-measure full-horizon solves MeasuresContext spends
+// per φ. The propagation runs inside one "mdcd.RMGd.measures_series"
+// span.
 func (r *RMGd) MeasuresSeriesContext(ctx context.Context, phis []float64) ([]GdMeasures, error) {
 	ctx, sp := obs.StartSpan(ctx, "mdcd.RMGd.measures_series")
 	defer sp.End()
@@ -212,28 +213,15 @@ func (r *RMGd) MeasuresSeriesContext(ctx context.Context, phis []float64) ([]GdM
 	}
 	out := make([]GdMeasures, len(phis))
 	for i, phi := range phis {
-		if out[i], err = r.measuresFromSolution(phi, pis[i], accs[i]); err != nil {
-			return nil, fmt.Errorf("mdcd: measures at phi=%g: %w", phi, err)
+		var v [NumGdMeasures]float64
+		for k := range GdMeasureDefs {
+			if v[k], err = r.value(k, pis[i], accs[i]); err != nil {
+				return nil, fmt.Errorf("mdcd: measures at phi=%g: %w", phi, err)
+			}
 		}
+		out[i] = AssembleGdMeasures(phi, v)
 	}
 	return out, nil
-}
-
-// dotReward contracts a prebuilt reward-rate vector against a solved state
-// vector, guarding the result against non-finite contamination.
-func dotReward(name string, rates, vec []float64) (float64, error) {
-	if len(rates) != len(vec) {
-		return 0, fmt.Errorf("mdcd: reward vector %s has %d states, solution has %d",
-			name, len(rates), len(vec))
-	}
-	sum := 0.0
-	for i, rr := range rates {
-		sum += rr * vec[i]
-	}
-	if err := robust.CheckFinite(name, sum); err != nil {
-		return 0, fmt.Errorf("mdcd: %w", err)
-	}
-	return sum, nil
 }
 
 // GpMeasures are the steady-state overhead measures solved in RMGp (paper

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"guardedop/internal/reward"
 	"guardedop/internal/robust"
 )
 
@@ -48,7 +49,7 @@ func TestRMNdNMatchesRMNdForTwoProcesses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := dotReward("P(no failure)", noFail, pis[0])
+		a, err := reward.Expected("P(no failure)", noFail, pis[0])
 		if err != nil {
 			t.Fatal(err)
 		}

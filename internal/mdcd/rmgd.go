@@ -1,7 +1,6 @@
 package mdcd
 
 import (
-	"guardedop/internal/reward"
 	"guardedop/internal/san"
 	"guardedop/internal/statespace"
 )
@@ -23,27 +22,19 @@ type RMGd struct {
 	Detected *san.Place // an error has been detected (system recovered to normal mode)
 	Failure  *san.Place // an undetected erroneous external message escaped (absorbing)
 
-	// Reward-rate vectors of the Table 1 structures, evaluated once over the
-	// generated space at build time: the predicates are pure functions of the
-	// marking, so re-evaluating them on every solve only burned time.
-	vIntH     []float64
-	vIntTauH  []float64
-	vIntHF    []float64
-	vPA1      []float64
-	vUndet    []float64
-	vDetected []float64
+	// rates[k] is the reward-rate vector of GdMeasureDefs[k], evaluated
+	// once over the generated space at build time: the predicates are pure
+	// functions of the marking, so re-evaluating them on every solve only
+	// burned time.
+	rates [NumGdMeasures][]float64
 }
 
-// RateVectors returns the prebuilt Table 1 reward-rate vectors, indexed
-// by state: the instant-of-time rates intH, pA1 and undetected, the
-// interval-of-time rates intTauH and detected, and the failure indicator
-// intHF. They exist for assemblers outside the package (the parametric
+// RateVector returns the prebuilt reward-rate vector of GdMeasureDefs[k],
+// indexed by state, for assemblers outside the package (the parametric
 // layer) that project their own solution representation onto the same
-// reward structures. The returned slices are the model's backing arrays;
-// callers must not modify them.
-func (r *RMGd) RateVectors() (intH, intTauH, intHF, pA1, undetected, detected []float64) {
-	return r.vIntH, r.vIntTauH, r.vIntHF, r.vPA1, r.vUndet, r.vDetected
-}
+// reward structures. The returned slice is the model's backing array;
+// callers must not modify it.
+func (r *RMGd) RateVector(k int) []float64 { return r.rates[k] }
 
 // GdOptions relaxes RMGd assumptions for ablation studies.
 type GdOptions struct {
@@ -89,17 +80,10 @@ func BuildRMGdWithOptions(p Params, o GdOptions) (*RMGd, error) {
 	return r, nil
 }
 
-// buildRateVectors evaluates every Table 1 reward structure over the
-// generated space once, so per-φ measure evaluation is pure dot products.
+// buildRateVectors evaluates every measure's reward structure over the
+// generated space once, so per-φ measure evaluation is pure contractions.
 func (r *RMGd) buildRateVectors() {
-	r.vIntH = r.structIntH().RateVector(r.Space)
-	r.vIntTauH = r.structIntTauH().RateVector(r.Space)
-	r.vIntHF = r.structIntHF().RateVector(r.Space)
-	r.vPA1 = r.structPA1().RateVector(r.Space)
-	r.vUndet = reward.NewStructure().Add("!detected && failure", func(mk san.Marking) bool {
-		return mk.Get(r.Detected) == 0 && mk.Get(r.Failure) == 1
-	}, 1).RateVector(r.Space)
-	r.vDetected = reward.NewStructure().Add("detected", func(mk san.Marking) bool {
-		return mk.Get(r.Detected) == 1
-	}, 1).RateVector(r.Space)
+	for k := range GdMeasureDefs {
+		r.rates[k] = r.structure(&GdMeasureDefs[k]).RateVector(r.Space)
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"guardedop/internal/ctmc"
 	"guardedop/internal/obs"
+	"guardedop/internal/reward"
 	"guardedop/internal/sparse"
 )
 
@@ -84,10 +85,10 @@ func (p *RMNdPair) NoFailureSeriesContext(ctx context.Context, ts []float64) (fi
 	first = make([]float64, len(ts))
 	second = make([]float64, len(ts))
 	for i, pi := range pis {
-		if first[i], err = dotReward("P(no failure|first)", p.ratesFirst, pi); err != nil {
+		if first[i], err = reward.Expected("P(no failure|first)", p.ratesFirst, pi); err != nil {
 			return nil, nil, fmt.Errorf("mdcd: stacked no-failure at t=%g: %w", ts[i], err)
 		}
-		if second[i], err = dotReward("P(no failure|second)", p.ratesSecond, pi); err != nil {
+		if second[i], err = reward.Expected("P(no failure|second)", p.ratesSecond, pi); err != nil {
 			return nil, nil, fmt.Errorf("mdcd: stacked no-failure at t=%g: %w", ts[i], err)
 		}
 	}

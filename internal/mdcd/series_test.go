@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"guardedop/internal/reward"
 )
 
 // relClose asserts agreement within relTol relative (falling back to the
@@ -75,7 +77,7 @@ func noFailureSeries(t *testing.T, nd *RMNd, ts []float64) []float64 {
 	}
 	out := make([]float64, len(ts))
 	for i, pi := range pis {
-		if out[i], err = dotReward("P(no failure)", nd.noFailRates, pi); err != nil {
+		if out[i], err = reward.Expected("P(no failure)", nd.noFailRates, pi); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,33 +53,23 @@ type Issue struct {
 // String renders the issue on one line.
 func (i Issue) String() string { return fmt.Sprintf("%s %s: %s", i.Severity, i.Check, i.Detail) }
 
-// Options tunes the verifier. The zero value applies the defaults.
-type Options struct {
-	// RowSumTol bounds |Σ_j Q_ij| relative to max(1, |Q_ii|)
-	// (default 1e-9, matching ctmc.New).
-	RowSumTol float64
-	// MaxIssuesPerCheck caps repeated findings of one check so a
-	// completely broken model stays readable (default 5; the report
-	// records how many were elided).
-	MaxIssuesPerCheck int
-}
+// Options is the verifier's (empty) option set; CheckSpace keeps the
+// parameter so existing callers compile.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.RowSumTol == 0 {
-		o.RowSumTol = 1e-9
-	}
-	if o.MaxIssuesPerCheck == 0 {
-		o.MaxIssuesPerCheck = 5
-	}
-	return o
-}
+// rowSumTol bounds |Σ_j Q_ij| relative to max(1, |Q_ii|), matching
+// ctmc.New.
+const rowSumTol = 1e-9
+
+// maxIssuesPerCheck caps repeated findings of one check so a completely
+// broken model stays readable; the report records how many were elided.
+const maxIssuesPerCheck = 5
 
 // CheckSpace verifies a generated state space: generator validity,
 // initial-distribution sanity, reachability, labelled-transition
 // consistency, and absorbing/ergodic structure. name labels the report.
-func CheckSpace(name string, sp *statespace.Space, opts Options) *Report {
-	opts = opts.withDefaults()
-	r := newReport(name, opts)
+func CheckSpace(name string, sp *statespace.Space, _ Options) *Report {
+	r := newReport(name)
 	if sp == nil || sp.Chain == nil {
 		r.add(Issue{Check: "space", Severity: SevError, Detail: "nil state space"})
 		return r
@@ -127,7 +117,7 @@ func (r *Report) checkGenerator(sp *statespace.Space) {
 			r.add(Issue{Check: "generator-diag", Severity: SevError,
 				Detail: fmt.Sprintf("positive diagonal Q[%d,%d] = %g", i, i, diag)})
 		}
-		if tol := r.opts.RowSumTol * math.Max(1, math.Abs(diag)); math.Abs(sum) > tol {
+		if tol := rowSumTol * math.Max(1, math.Abs(diag)); math.Abs(sum) > tol {
 			r.add(Issue{Check: "generator-row-sum", Severity: SevError,
 				Detail: fmt.Sprintf("row %d sums to %g, want 0 (±%g)", i, sum, tol)})
 		}

@@ -16,21 +16,21 @@ type Report struct {
 	Absorbing   int
 	// Issues are the findings, in check order.
 	Issues []Issue
-	// Elided counts findings dropped by Options.MaxIssuesPerCheck.
+	// Elided counts findings dropped by the per-check cap
+	// (maxIssuesPerCheck).
 	Elided int
 
-	opts     Options
 	perCheck map[string]int
 }
 
-func newReport(model string, opts Options) *Report {
-	return &Report{Model: model, opts: opts, perCheck: make(map[string]int)}
+func newReport(model string) *Report {
+	return &Report{Model: model, perCheck: make(map[string]int)}
 }
 
 // add records an issue, enforcing the per-check cap.
 func (r *Report) add(i Issue) {
 	r.perCheck[i.Check]++
-	if r.perCheck[i.Check] > r.opts.MaxIssuesPerCheck {
+	if r.perCheck[i.Check] > maxIssuesPerCheck {
 		r.Elided++
 		return
 	}

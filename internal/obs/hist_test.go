@@ -46,8 +46,8 @@ func TestHistogramOverflowBucketAccounting(t *testing.T) {
 // observation overflows the bounded buckets.
 func TestHistogramOverflowInPromExposition(t *testing.T) {
 	tr := NewTracer()
-	tr.Observe("ctmc.solve", 25*time.Second) // above the 10s top bound
-	tr.Observe("ctmc.solve", time.Minute)
+	tr.observeStage("ctmc.solve", int64(25*time.Second)) // above the 10s top bound
+	tr.observeStage("ctmc.solve", int64(time.Minute))
 
 	var buf bytes.Buffer
 	if err := WritePromText(&buf, nil, nil, tr.Histograms()); err != nil {
@@ -71,7 +71,7 @@ func TestHistogramOverflowInPromExposition(t *testing.T) {
 // contract through Snapshot.
 func TestHistogramOverflowInTraceDoc(t *testing.T) {
 	tr := NewTracer()
-	tr.Observe("core.curve", time.Hour)
+	tr.observeStage("core.curve", int64(time.Hour))
 	doc := Snapshot(tr, Manifest{Tool: "test"})
 	h, ok := doc.Histograms["core.curve"]
 	if !ok {

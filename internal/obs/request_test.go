@@ -49,20 +49,22 @@ func TestRequestTracerPropagatesAggregates(t *testing.T) {
 	}
 }
 
-// TestRequestTracerObservePropagates covers the span-less Observe path.
+// TestRequestTracerObservePropagates covers the span-less observation
+// path: one observed duration reaches the child's and the parent's
+// histogram, and each stage entry reads that histogram's count and sum.
 func TestRequestTracerObservePropagates(t *testing.T) {
 	parent := NewTracer()
 	child := NewRequestTracer(parent)
-	child.Observe("ctmc.axpy", 5*time.Millisecond)
+	ns := int64(5 * time.Millisecond)
+	child.observeStage("ctmc.axpy", ns)
 	for name, tr := range map[string]*Tracer{"child": child, "parent": parent} {
 		h, ok := tr.Histograms()["ctmc.axpy"]
-		if !ok || h.Count != 1 {
-			t.Fatalf("%s histogram = %+v, want one observation", name, h)
+		if !ok || h.Count != 1 || h.SumNanos != ns {
+			t.Fatalf("%s histogram = %+v, want one observation of %d ns", name, h, ns)
 		}
-	}
-	// Observe never creates a stage entry — stages are span aggregates.
-	if _, ok := parent.Stages()["ctmc.axpy"]; ok {
-		t.Fatal("Observe created a stage entry on the parent")
+		if st := tr.Stages()["ctmc.axpy"]; st.Count != 1 || st.Nanos != ns {
+			t.Fatalf("%s stage = %+v, want {1 %d}", name, st, ns)
+		}
 	}
 }
 

@@ -116,7 +116,7 @@ func TestWritePromText(t *testing.T) {
 	c, sp := StartSpan(ctx, "ctmc.uniformize")
 	Count(c, CtrSolvePasses, 5)
 	sp.End()
-	tr.Observe("core.evaluate", 2*time.Millisecond)
+	tr.observeStage("core.evaluate", int64(2*time.Millisecond))
 
 	var buf bytes.Buffer
 	if err := tr.WriteProm(&buf); err != nil {

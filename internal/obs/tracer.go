@@ -179,8 +179,7 @@ func (s *Span) Name() string {
 type Tracer struct {
 	start time.Time
 	// parent, when set (NewRequestTracer), receives this tracer's
-	// aggregates live — counters, stage statistics, histogram
-	// observations — while the span objects themselves stay local, so a
+	// aggregates live — counters and per-span-name histograms — while the span objects themselves stay local, so a
 	// per-request tracer yields a self-contained trace document and the
 	// process tracer's /metrics totals still update as work happens, not
 	// when the request ends.
@@ -190,8 +189,7 @@ type Tracer struct {
 	nextID   uint64
 	spans    []*Span // finished spans, in End order
 	counters map[string]int64
-	stats    map[string]StageStats // per-name aggregates of finished spans
-	hists    map[string]*Histogram
+	hists    map[string]*Histogram // per-name aggregates of finished spans
 }
 
 // NewTracer returns an empty collector.
@@ -199,7 +197,6 @@ func NewTracer() *Tracer {
 	return &Tracer{
 		start:    time.Now(),
 		counters: make(map[string]int64),
-		stats:    make(map[string]StageStats),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -238,31 +235,18 @@ func (t *Tracer) newSpan(name string, parent *Span) *Span {
 	return sp
 }
 
-// finish records a completed span and propagates its aggregate (name,
-// duration) to the parent chain.
+// finish records a completed span and folds its duration into the
+// per-name histogram here and up the parent chain.
 func (t *Tracer) finish(s *Span) {
-	ns := s.dur.Nanoseconds()
 	t.mu.Lock()
 	t.spans = append(t.spans, s)
-	h := t.hists[s.name]
-	if h == nil {
-		h = &Histogram{}
-		t.hists[s.name] = h
-	}
-	h.observe(ns)
-	st := t.stats[s.name]
-	st.Count++
-	st.Nanos += ns
-	t.stats[s.name] = st
 	t.mu.Unlock()
-	if t.parent != nil {
-		t.parent.observeStage(s.name, ns)
-	}
+	t.observeStage(s.name, s.dur.Nanoseconds())
 }
 
-// observeStage folds one finished-span aggregate into the tracer's stage
-// statistics and histogram without recording a span object — the form in
-// which child-tracer spans reach their ancestors.
+// observeStage folds one finished-span duration into the tracer's
+// per-name histogram and its ancestors' — the form in which child-tracer
+// spans reach their ancestors.
 func (t *Tracer) observeStage(name string, ns int64) {
 	t.mu.Lock()
 	h := t.hists[name]
@@ -271,10 +255,6 @@ func (t *Tracer) observeStage(name string, ns int64) {
 		t.hists[name] = h
 	}
 	h.observe(ns)
-	st := t.stats[name]
-	st.Count++
-	st.Nanos += ns
-	t.stats[name] = st
 	t.mu.Unlock()
 	if t.parent != nil {
 		t.parent.observeStage(name, ns)
@@ -291,26 +271,6 @@ func (t *Tracer) Count(name string, delta int64) {
 	t.mu.Unlock()
 	if t.parent != nil {
 		t.parent.Count(name, delta)
-	}
-}
-
-// Observe folds one duration into the named histogram without creating a
-// span (for cheap repeated operations not worth a trace node each). Like
-// spans and counters, the observation propagates to every ancestor.
-func (t *Tracer) Observe(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	h := t.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		t.hists[name] = h
-	}
-	h.observe(d.Nanoseconds())
-	t.mu.Unlock()
-	if t.parent != nil {
-		t.parent.Observe(name, d)
 	}
 }
 
@@ -355,9 +315,9 @@ func (t *Tracer) Stages() map[string]StageStats {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]StageStats, len(t.stats))
-	for k, v := range t.stats {
-		out[k] = v
+	out := make(map[string]StageStats, len(t.hists))
+	for k, h := range t.hists {
+		out[k] = StageStats{Count: h.n, Nanos: h.sum}
 	}
 	return out
 }
@@ -523,12 +483,6 @@ func Count(ctx context.Context, name string, delta int64) {
 		n.scope.add(name, delta)
 	}
 	n.tracer.Count(name, delta)
-}
-
-// ObserveDuration folds one duration into the context tracer's named
-// histogram; a no-op without a tracer.
-func ObserveDuration(ctx context.Context, name string, d time.Duration) {
-	TracerFrom(ctx).Observe(name, d)
 }
 
 // AdoptTrace transplants src's traced position — tracer, current span,

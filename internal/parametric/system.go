@@ -20,16 +20,16 @@ const (
 )
 
 // System holds the closed-form evaluators for every φ-dependent
-// constituent measure of one parameter set: the six RMGd quantities
-// behind the Table 1 measures and the two RMNd no-failure probabilities
-// the analyzer combines into Y(φ). It is built once per analyzer and is
-// safe for concurrent use (queries only read).
+// constituent measure of one parameter set: the RMGd measures of
+// mdcd.GdMeasureDefs behind the Table 1 measures and the two RMNd
+// no-failure probabilities the analyzer combines into Y(φ). It is built
+// once per analyzer and is safe for concurrent use (queries only read).
 type System struct {
 	theta float64
 
-	// RMGd: pointwise measures read π(φ), interval measures read L(φ).
-	intH, intHF, pA1, pUndet *Evaluator
-	intTauH, accDet          *Evaluator
+	// gd[k] is the closed form of mdcd.GdMeasureDefs[k]: instant measures
+	// read π(φ), accumulated ones L(φ).
+	gd [mdcd.NumGdMeasures]*Evaluator
 
 	ndNew, ndOld *Evaluator
 }
@@ -71,23 +71,10 @@ func NewSystem(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd.RMNd) (*System, 
 	if err != nil {
 		return nil, fmt.Errorf("RMGd: %w", err)
 	}
-	vIntH, vIntTauH, vIntHF, vPA1, vUndet, vDetected := gd.RateVectors()
-	expand := func(name string, dst **Evaluator, r []float64) {
-		if err != nil {
-			return
+	for k := range mdcd.GdMeasureDefs {
+		if s.gd[k], err = gdDec.Expansion(gd.RateVector(k)); err != nil {
+			return nil, fmt.Errorf("RMGd %s: %w", mdcd.GdMeasureDefs[k].Name, err)
 		}
-		if *dst, err = gdDec.Expansion(r); err != nil {
-			err = fmt.Errorf("RMGd %s: %w", name, err)
-		}
-	}
-	expand("int_h", &s.intH, vIntH)
-	expand("int_tau_h", &s.intTauH, vIntTauH)
-	expand("int_int_h_f", &s.intHF, vIntHF)
-	expand("P(A1)", &s.pA1, vPA1)
-	expand("P(A4)", &s.pUndet, vUndet)
-	expand("acc_detected", &s.accDet, vDetected)
-	if err != nil {
-		return nil, err
 	}
 
 	for _, nd := range []struct {
@@ -122,31 +109,23 @@ func (s *System) Theta() float64 { return s.theta }
 // float64 evaluation noise means the expansion cannot be trusted at
 // this phi and the caller must fall back.
 func (s *System) GdMeasures(phi float64) (mdcd.GdMeasures, error) {
-	var m mdcd.GdMeasures
-	var err error
-	eval := func(dst *float64, e *Evaluator, accumulated bool) {
-		if err != nil {
-			return
-		}
-		if accumulated {
-			*dst, err = e.IntAt(phi)
+	var v [mdcd.NumGdMeasures]float64
+	for k, e := range s.gd {
+		var err error
+		if mdcd.GdMeasureDefs[k].Accumulated {
+			v[k], err = e.IntAt(phi)
 		} else {
-			*dst, err = e.At(phi)
+			v[k], err = e.At(phi)
+		}
+		if err != nil {
+			return mdcd.GdMeasures{}, err
 		}
 	}
-	eval(&m.IntH, s.intH, false)
-	eval(&m.IntTauH, s.intTauH, true)
-	eval(&m.IntHF, s.intHF, false)
-	eval(&m.PA1, s.pA1, false)
-	eval(&m.PUndetectedFailure, s.pUndet, false)
-	eval(&m.AccDetected, s.accDet, true)
-	if err != nil {
-		return mdcd.GdMeasures{}, err
-	}
+	m := mdcd.AssembleGdMeasures(phi, v)
 	if sum := m.PA1 + m.IntH + m.IntHF + m.PUndetectedFailure; math.Abs(sum-1) > 1e-8 {
 		return mdcd.GdMeasures{}, fmt.Errorf("%w: partition sums to %.12f at phi=%g", ErrUnstable, sum, phi)
 	}
-	return m.WithPhi(phi), nil
+	return m, nil
 }
 
 // NoFailureNew evaluates the RMNd(µ_new) no-failure probability at t.
@@ -195,23 +174,16 @@ func (s *System) validateProbes(p mdcd.Params, gd *mdcd.RMGd, ndNew, ndOld *mdcd
 		if serr != nil {
 			return fmt.Errorf("parametric: probe solve (RMGd) at phi=%g: %w", phi, serr)
 		}
-		w := ws[0]
-		fields := []struct {
-			name     string
-			got, ref float64
-			ok       func(a, b float64) bool
-		}{
-			{"int_h", got.IntH, w.IntH, okProb},
-			{"int_tau_h", got.IntTauH, w.IntTauH, okAcc},
-			{"int_int_h_f", got.IntHF, w.IntHF, okProb},
-			{"P(A1)", got.PA1, w.PA1, okProb},
-			{"P(A4)", got.PUndetectedFailure, w.PUndetectedFailure, okProb},
-			{"acc_detected", got.AccDetected, w.AccDetected, okAcc},
-		}
-		for _, f := range fields {
-			if !f.ok(f.got, f.ref) {
+		gv, wv := got.Values(), ws[0].Values()
+		for k := range mdcd.GdMeasureDefs {
+			d := &mdcd.GdMeasureDefs[k]
+			ok := okProb
+			if d.Accumulated {
+				ok = okAcc
+			}
+			if !ok(gv[k], wv[k]) {
 				return fmt.Errorf("%w: RMGd %s at phi=%g: closed form %.15g vs numeric %.15g",
-					ErrValidation, f.name, phi, f.got, f.ref)
+					ErrValidation, d.Name, phi, gv[k], wv[k])
 			}
 		}
 	}

@@ -78,5 +78,5 @@ func SteadyStateImpulseRate(sp *statespace.Space, ss ...*ImpulseStructure) ([]fl
 	for i, s := range ss {
 		rates[i] = s.rateVector(sp)
 	}
-	return sp.Chain.SteadyStateRewards(rates...)
+	return steadyState(sp, rates)
 }

@@ -33,7 +33,7 @@ func accumulatedImpulse(sp *statespace.Space, is *ImpulseStructure, t float64) (
 	if err != nil {
 		return 0, err
 	}
-	return expected(is.rateVector(sp), accs[0])
+	return Expected("impulse", is.rateVector(sp), accs[0])
 }
 
 func TestAccumulatedImpulseCountsPoissonEvents(t *testing.T) {

@@ -84,7 +84,7 @@ func InstantOfTime(sp *statespace.Space, s *Structure, t float64) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	return expected(s.RateVector(sp), pis[0])
+	return Expected("reward", s.RateVector(sp), pis[0])
 }
 
 // Accumulated returns the expected accumulated interval-of-time reward over
@@ -97,18 +97,23 @@ func Accumulated(sp *statespace.Space, s *Structure, t float64) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	return expected(s.RateVector(sp), accs[0])
+	return Expected("reward", s.RateVector(sp), accs[0])
 }
 
-// expected contracts a reward-rate vector against a solved state vector
-// of the same space, guarding the result against non-finite
-// contamination.
-func expected(rates, vec []float64) (float64, error) {
+// Expected is the one guarded reward contraction Σ_s rates[s]·vec[s] of a
+// reward-rate vector against a solved vector of the same chain — π(t),
+// L(t) = ∫₀ᵗ π(u)du or the stationary π. It rejects vectors of different
+// lengths and wraps robust.ErrNonFinite when the sum is not finite; name
+// labels both errors.
+func Expected(name string, rates, vec []float64) (float64, error) {
+	if len(rates) != len(vec) {
+		return 0, fmt.Errorf("reward: %s has %d states, solution has %d", name, len(rates), len(vec))
+	}
 	sum := 0.0
 	for i, r := range rates {
 		sum += r * vec[i]
 	}
-	if err := robust.CheckFinite("reward", sum); err != nil {
+	if err := robust.CheckFinite(name, sum); err != nil {
 		return 0, fmt.Errorf("reward: %w", err)
 	}
 	return sum, nil
@@ -125,5 +130,21 @@ func SteadyState(sp *statespace.Space, ss ...*Structure) ([]float64, error) {
 	for i, s := range ss {
 		rates[i] = s.RateVector(sp)
 	}
-	return sp.Chain.SteadyStateRewards(rates...)
+	return steadyState(sp, rates)
+}
+
+// steadyState contracts each rate vector against one solve of the
+// stationary distribution of the space's chain.
+func steadyState(sp *statespace.Space, rates [][]float64) ([]float64, error) {
+	pi, err := sp.Chain.SteadyState()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(rates))
+	for i, r := range rates {
+		if out[i], err = Expected("reward", r, pi); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

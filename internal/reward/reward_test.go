@@ -1,9 +1,11 @@
 package reward
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"guardedop/internal/robust"
 	"guardedop/internal/san"
 	"guardedop/internal/statespace"
 )
@@ -151,4 +153,27 @@ func TestNegativeRatePairs(t *testing.T) {
 		t.Errorf("steady reward = %v, want 0.5", got[0])
 	}
 	_ = p0
+}
+
+func TestExpectedMatchesManual(t *testing.T) {
+	sp, _, _ := buildCycle(t, 1, 1)
+	pi, err := sp.Chain.SteadyState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rates := range [][]float64{{0, 2}, {1, 1}} {
+		r, err := Expected("r", rates, pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(r-1) > 1e-10 {
+			t.Errorf("Expected(%v) = %v, want 1", rates, r)
+		}
+	}
+	if _, err := Expected("short", []float64{1}, pi); err == nil {
+		t.Error("accepted wrong-length reward vector")
+	}
+	if _, err := Expected("inf", []float64{math.Inf(1), 0}, pi); !errors.Is(err, robust.ErrNonFinite) {
+		t.Errorf("non-finite contraction: err = %v, want robust.ErrNonFinite", err)
+	}
 }

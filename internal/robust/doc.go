@@ -10,7 +10,9 @@
 // boundary, overflowing horizons) and the tooling has to survive those
 // regions to be usable.
 //
-// Layering: robust depends only on the standard library, so every other
-// package (sparse, ctmc, core, uncertainty, experiments, the commands)
-// can import it without cycles.
+// Layering: robust depends on the standard library and on internal/obs
+// (RunBatch reports its attempt, panic and error-class counters there),
+// and on nothing else in the module, so every other package (sparse,
+// ctmc, core, uncertainty, experiments, the commands) can import it
+// without cycles.
 package robust

@@ -57,11 +57,9 @@ type Config struct {
 	TraceRing int
 	// Logger receives one structured access-log record per request
 	// (trace_id, route, status, degraded, coalesced, …). Nil disables
-	// access logging.
+	// access logging. Transport-level problems (failed response writes,
+	// recovered panics) always go to the log package's standard logger.
 	Logger *slog.Logger
-	// ErrorLog receives transport-level problems (failed response
-	// writes, recovered panics). Nil uses the log package default.
-	ErrorLog *log.Logger
 }
 
 // withDefaults resolves the zero values.
@@ -107,7 +105,6 @@ type Server struct {
 	cfg    Config
 	tracer *obs.Tracer
 	logger *slog.Logger
-	logf   func(format string, args ...any)
 
 	// base is the lifecycle context flights derive from: it carries the
 	// process tracer and dies when the server shuts down, so no solve
@@ -155,11 +152,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Tracer != nil {
 		s.ring = newTraceRing(cfg.TraceRing)
-	}
-	if cfg.ErrorLog != nil {
-		s.logf = cfg.ErrorLog.Printf
-	} else {
-		s.logf = log.Printf
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -209,7 +201,7 @@ func (s *Server) Handler() http.Handler {
 		defer func() {
 			if rec := recover(); rec != nil {
 				obs.Count(ctx, obs.CtrServePanics, 1)
-				s.logf("serve: recovered panic on %s: %v", r.URL.Path, rec)
+				log.Printf("serve: recovered panic on %s: %v", r.URL.Path, rec)
 				s.writeError(sw, r, fmt.Errorf("%w: %v", robust.ErrPanic, rec))
 			}
 			s.inflight.Add(-1)
@@ -248,7 +240,7 @@ func (s *Server) Start(addr string) (string, error) {
 	//lint:ignore golifetime the acceptor loop is bounded by http.Server — Shutdown/Close makes Serve return ErrServerClosed
 	go func() {
 		if serr := s.hs.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			s.logf("serve: %v", serr)
+			log.Printf("serve: %v", serr)
 		}
 	}()
 	return ln.Addr().String(), nil
@@ -359,7 +351,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, key string, bu
 			// (the flight runs outside the HTTP handler's recovery).
 			if rec := recover(); rec != nil {
 				obs.Count(fctx, obs.CtrServePanics, 1)
-				s.logf("serve: recovered panic in flight %s: %v", r.URL.Path, rec)
+				log.Printf("serve: recovered panic in flight %s: %v", r.URL.Path, rec)
 				out = stamp(errorResult(fmt.Errorf("%w: %v", robust.ErrPanic, rec)))
 			}
 		}()
@@ -447,7 +439,7 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *apiRes
 	}
 	w.WriteHeader(res.status)
 	if _, err := w.Write(res.body); err != nil {
-		s.logf("serve: writing %s response: %v", r.URL.Path, err)
+		log.Printf("serve: writing %s response: %v", r.URL.Path, err)
 	}
 }
 
@@ -455,7 +447,7 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *apiRes
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	res := errorResult(err)
 	if res.status >= http.StatusInternalServerError {
-		s.logf("serve: %s: %v", r.URL.Path, err)
+		log.Printf("serve: %s: %v", r.URL.Path, err)
 	}
 	s.writeResult(w, r, res, false)
 }
@@ -494,7 +486,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := s.tracer.WriteProm(w); err != nil {
-		s.logf("serve: writing /metrics: %v", err)
+		log.Printf("serve: writing /metrics: %v", err)
 		return
 	}
 	gauges := map[string]float64{
@@ -507,11 +499,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauges["serve_trace_ring_size"] = float64(len(stored))
 	}
 	if err := obs.WritePromGauges(w, gauges); err != nil {
-		s.logf("serve: writing /metrics gauges: %v", err)
+		log.Printf("serve: writing /metrics gauges: %v", err)
 		return
 	}
 	if err := obs.WritePromRuntime(w, obs.CurrentBuildInfo(), obs.ReadRuntimeStats()); err != nil {
-		s.logf("serve: writing /metrics runtime: %v", err)
+		log.Printf("serve: writing /metrics runtime: %v", err)
 	}
 }
 

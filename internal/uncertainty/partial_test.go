@@ -189,34 +189,21 @@ func failAllBut(t *testing.T, keepEvery int, draws int) {
 	t.Cleanup(func() { newAnalyzer = orig })
 }
 
-// TestPropagateNegativeSurvivalFractionDisablesFloor covers the
-// zero-value disambiguation: MinSurvivalFraction 0 still applies the 0.5
-// default, while a negative value disables the floor so a propagation
-// stands on any nonzero number of survivors.
-func TestPropagateNegativeSurvivalFractionDisablesFloor(t *testing.T) {
+// TestPropagateSurvivalFloor pins the fixed one-half survival floor: a
+// propagation with 25% or with no surviving draws fails.
+func TestPropagateSurvivalFloor(t *testing.T) {
 	p := mdcd.DefaultParams()
 	posterior := Gamma{Shape: 4, Rate: 4e4}
 	opts := PropagateOptions{Samples: 16, Seed: 7, GridPoints: 4}
 
-	failAllBut(t, 4, opts.Samples) // 25% survival: below the default floor
+	failAllBut(t, 4, opts.Samples) // 25% survival: below the floor
 	if _, err := Propagate(p, posterior, opts); !errors.Is(err, robust.ErrTooManyFailures) {
-		t.Fatalf("zero (default) floor accepted 25%% survival: err = %v", err)
+		t.Fatalf("floor accepted 25%% survival: err = %v", err)
 	}
 
-	failAllBut(t, 4, opts.Samples)
-	opts.MinSurvivalFraction = -1
-	prop, err := Propagate(p, posterior, opts)
-	if err != nil {
-		t.Fatalf("disabled floor rejected 25%% survival: %v", err)
-	}
-	if prop.SamplesUsed == 0 || prop.SamplesUsed == prop.SamplesRequested {
-		t.Errorf("expected a partial run, got %d/%d", prop.SamplesUsed, prop.SamplesRequested)
-	}
-
-	// Even with the floor disabled, zero survivors cannot stand.
 	withFailingAnalyzer(t, 1)
 	if _, err := Propagate(p, posterior, opts); !errors.Is(err, robust.ErrTooManyFailures) {
-		t.Fatalf("zero survivors accepted with disabled floor: err = %v", err)
+		t.Fatalf("zero survivors accepted: err = %v", err)
 	}
 }
 

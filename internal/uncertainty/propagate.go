@@ -22,14 +22,6 @@ type PropagateOptions struct {
 	// GridPoints is the φ-grid resolution used both for the per-sample
 	// optimum and the robust choice (default 20 intervals over [0, θ]).
 	GridPoints int
-	// MinSurvivalFraction is the fraction of posterior draws that must
-	// evaluate successfully for the propagation to stand. Zero applies
-	// the default 0.5 (fail only when fewer than half the samples
-	// survive); any negative value disables the floor entirely, so a
-	// propagation stands on any nonzero number of surviving draws. Draws
-	// that hit a degenerate parameter region are skipped and recorded in
-	// the report, not fatal.
-	MinSurvivalFraction float64
 	// Workers bounds how many posterior draws are evaluated concurrently:
 	// 0 (the default) uses every core (runtime.GOMAXPROCS), 1 evaluates
 	// sequentially. The µ stream is pre-drawn, so the result is identical
@@ -52,20 +44,14 @@ func (o PropagateOptions) withDefaults() PropagateOptions {
 	if o.GridPoints == 0 {
 		o.GridPoints = 20
 	}
-	if o.MinSurvivalFraction == 0 {
-		o.MinSurvivalFraction = 0.5
-	}
 	return o
 }
 
-// batchSurvivalFloor maps the option's "negative disables" convention to
-// RunBatch's "zero disables" one.
-func batchSurvivalFloor(f float64) float64 {
-	if f < 0 {
-		return 0
-	}
-	return f
-}
+// minSurvivalFraction is the fraction of posterior draws that must
+// evaluate successfully for a propagation to stand. Draws that hit a
+// degenerate parameter region are skipped and recorded in the report,
+// not fatal, as long as at least half of them survive.
+const minSurvivalFraction = 0.5
 
 // DrawResult is one surviving posterior draw's paired per-draw record:
 // the µ_new draw together with the optimal duration and maximal index it
@@ -138,9 +124,8 @@ type sampleEval struct {
 // fault-tolerant sampling: a posterior draw whose model evaluation fails
 // (degenerate rate, invariant violation, non-finite solve) is skipped and
 // recorded in the result's Report instead of aborting the run. The call
-// errors only when the context is canceled or too few draws survive —
-// fewer than opts.MinSurvivalFraction, or none at all with the floor
-// disabled (both wrapping robust.ErrTooManyFailures).
+// errors only when the context is canceled or fewer than half the draws
+// survive (wrapping robust.ErrTooManyFailures).
 //
 // Draws are evaluated on a bounded worker pool (opts.Workers). The µ
 // stream is drawn up front from opts.Seed, so every worker count — and
@@ -188,7 +173,7 @@ func PropagateContext(ctx context.Context, p mdcd.Params, posterior Gamma, opts 
 		ev.bestPhi, ev.bestY = best.Phi, best.Y
 		return ev, nil
 	}, robust.BatchOptions{
-		MinSuccessFraction: batchSurvivalFloor(opts.MinSurvivalFraction),
+		MinSuccessFraction: minSurvivalFraction,
 		Workers:            opts.Workers,
 	})
 	if err != nil {
@@ -196,12 +181,6 @@ func PropagateContext(ctx context.Context, p mdcd.Params, posterior Gamma, opts 
 			return nil, fmt.Errorf("uncertainty: %w\n%s", err, pr.Report.Summary())
 		}
 		return nil, fmt.Errorf("uncertainty: %w", err)
-	}
-	if pr.Report.Succeeded() == 0 {
-		// Reachable only with the survival floor disabled: nothing to
-		// aggregate is still a failed propagation.
-		return nil, fmt.Errorf("uncertainty: no posterior draw survived: %w\n%s",
-			robust.ErrTooManyFailures, pr.Report.Summary())
 	}
 
 	out := &Propagation{
