@@ -117,11 +117,15 @@ perfbench-test:
 # 20 s each: template.Parse must never panic and must reject every bad
 # spec with a typed robust.ErrInvariant; template.Build on an accepted
 # spec must never panic and may only fail with robust.ErrInvariant or
-# statespace.ErrStateSpaceTooLarge. The seed corpora alone run in the
-# plain `go test ./...`.
+# statespace.ErrStateSpaceTooLarge. Then fuzz gsuserve's request
+# decoding for 20 s: decode and resolve must never panic, must reject
+# with a bad-request error (or a spec's typed robust.ErrInvariant), and
+# an accepted request's POST form must key identically. The seed corpora
+# alone run in the plain `go test ./...`.
 fuzz-spec:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 20s ./internal/template
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildSpec$$' -fuzztime 20s ./internal/template
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 20s ./internal/serve
 
 # Regenerate every table/figure report to stdout.
 repro:

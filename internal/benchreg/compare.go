@@ -12,6 +12,11 @@ import (
 // signal, wall clock only catches order-of-magnitude cliffs.
 const DefaultWallTolerance = 0.5
 
+// minWallRuns is the fewest repetitions a report needs before its wall
+// median can fail a comparison: the median of one or two runs on a
+// loaded machine moves beyond any useful band on noise alone.
+const minWallRuns = 3
+
 // Diff is one finding of a report comparison.
 type Diff struct {
 	Benchmark string
@@ -37,7 +42,8 @@ func (d Diff) String() string {
 // report flips the direction (the counter measures useful work, a
 // decrease regresses), and an "eq" rule makes any change a failure.
 // Wall-clock medians only fail beyond wallTol (≤0 selects
-// DefaultWallTolerance). A benchmark present in old but missing from new
+// DefaultWallTolerance), and only when both reports ran each benchmark
+// at least minWallRuns times; otherwise a slower median is a note. A benchmark present in old but missing from new
 // fails — a silently shrinking suite would read as "no regressions".
 func Compare(old, new *Report, wallTol float64) []Diff {
 	if wallTol <= 0 {
@@ -135,6 +141,9 @@ func compareWall(or *Result, nr *Result, tol float64) []Diff {
 		time.Duration(ov).Round(time.Microsecond), time.Duration(nv).Round(time.Microsecond),
 		rel*100, tol*100)
 	switch {
+	case rel > tol && (or.Runs < minWallRuns || nr.Runs < minWallRuns):
+		detail += fmt.Sprintf("; not gated: %d and %d runs, fewer than %d", or.Runs, nr.Runs, minWallRuns)
+		return []Diff{{Benchmark: nr.Name, Kind: "wall-regression", Detail: detail}}
 	case rel > tol:
 		return []Diff{{Benchmark: nr.Name, Kind: "wall-regression", Detail: detail, Fail: true}}
 	case rel < -tol:

@@ -129,6 +129,27 @@ func TestCompareWallTolerance(t *testing.T) {
 	}
 }
 
+// A wall median from fewer than three runs is noise: a slower median is
+// a note that says why it is not gated, never a failure. Counters still
+// gate such reports.
+func TestCompareWallUngatedBelowThreeRuns(t *testing.T) {
+	for _, runs := range [][2]int{{1, 3}, {3, 1}, {2, 2}} {
+		old, slower := baseline(), baseline()
+		old.Result("grid").Runs = runs[0]
+		slower.Result("grid").Runs = runs[1]
+		slower.Result("grid").Wall.MedianNanos = 1700 // +70% > default 50%
+		diffs := Compare(old, slower, 0)
+		if Failed(diffs) || len(diffs) != 1 || diffs[0].Kind != "wall-regression" ||
+			!strings.Contains(diffs[0].Detail, "not gated") {
+			t.Fatalf("runs %v: want one ungated wall-regression note, got %v", runs, diffs)
+		}
+		slower.Result("grid").Counters["ctmc.solve_passes"] = 120
+		if diffs := Compare(old, slower, 0); failsOfKind(diffs, "counter-regression") != 1 {
+			t.Fatalf("runs %v: counter regression not gated: %v", runs, diffs)
+		}
+	}
+}
+
 func TestCompareMissingAndAddedBenchmarks(t *testing.T) {
 	new := baseline()
 	new.Results = new.Results[:1] // drop "serve"

@@ -66,9 +66,11 @@ func TestGdIsomorphicToHandwritten(t *testing.T) {
 	for _, rs := range []float64{1, 0.5} {
 		t.Run(fmt.Sprintf("recovery=%g", rs), func(t *testing.T) {
 			p := DefaultParams()
-			gd, err := BuildRMGdWithOptions(p, GdOptions{RecoverySuccess: rs})
+			sc := PaperScenario(p)
+			sc.RecoverySuccess = rs
+			gd, _, err := buildGd(&sc)
 			if err != nil {
-				t.Fatalf("BuildRMGdWithOptions: %v", err)
+				t.Fatalf("buildGd: %v", err)
 			}
 			hw, err := fixtureRMGd(p, rs)
 			if err != nil {

@@ -505,10 +505,16 @@ func TestGdMeasureDefsComplete(t *testing.T) {
 }
 
 func TestGdOptionsValidation(t *testing.T) {
-	if _, err := BuildRMGdWithOptions(DefaultParams(), GdOptions{RecoverySuccess: -0.1}); err == nil {
+	gd := func(rs float64) (*RMGd, error) {
+		sc := PaperScenario(DefaultParams())
+		sc.RecoverySuccess = rs
+		r, _, err := buildGd(&sc)
+		return r, err
+	}
+	if _, err := gd(-0.1); err == nil {
 		t.Error("negative RecoverySuccess accepted")
 	}
-	if _, err := BuildRMGdWithOptions(DefaultParams(), GdOptions{RecoverySuccess: 1.1}); err == nil {
+	if _, err := gd(1.1); err == nil {
 		t.Error("RecoverySuccess > 1 accepted")
 	}
 	// Zero means the paper's default of 1: measures must match BuildRMGd.
@@ -516,7 +522,7 @@ func TestGdOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildRMGdWithOptions(DefaultParams(), GdOptions{})
+	b, err := gd(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,25 +36,11 @@ type RMGd struct {
 // callers must not modify it.
 func (r *RMGd) RateVector(k int) []float64 { return r.rates[k] }
 
-// GdOptions relaxes RMGd assumptions for ablation studies.
-type GdOptions struct {
-	// RecoverySuccess is the probability that error recovery succeeds
-	// after a successful detection; the paper assumes 1 ("we anticipate
-	// that the system will recover from an error successfully as long as
-	// the detection is successful"). A failed recovery is a system
-	// failure. Zero means the default of 1.
-	RecoverySuccess float64
-}
-
 // BuildRMGd constructs and generates the RMGd model under the paper's
-// assumptions (perfect recovery given detection).
-func BuildRMGd(p Params) (*RMGd, error) {
-	return BuildRMGdWithOptions(p, GdOptions{})
-}
-
-// BuildRMGdWithOptions constructs RMGd with relaxed assumptions. It runs
-// the scenario generator on the paper's two-process scenario
-// and binds the per-process places the simulator reads.
+// assumptions (perfect recovery given detection). It runs the scenario
+// generator on the paper's two-process scenario and binds the
+// per-process places the simulator reads; a scenario with imperfect
+// recovery (Scenario.RecoverySuccess) goes through Generate.
 //
 // The marking encodes the G-OP/normal mode switch through the detected
 // place: detected==0 means the system is still in the G-OP mode (P1new and
@@ -66,12 +52,11 @@ func BuildRMGd(p Params) (*RMGd, error) {
 // detect/miss alternative is folded into probabilistic cases of the
 // message-sending activities, which is the vanishing-marking elimination
 // done by hand at the model level.
-func BuildRMGdWithOptions(p Params, o GdOptions) (*RMGd, error) {
+func BuildRMGd(p Params) (*RMGd, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	sc := PaperScenario(p)
-	sc.RecoverySuccess = o.RecoverySuccess
 	r, g, err := buildGd(&sc)
 	if err != nil {
 		return nil, err

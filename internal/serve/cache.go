@@ -12,8 +12,9 @@ import (
 
 // Cache is a sharded, process-wide cache with size and TTL bounds — the
 // serving path's replacement for growing state per request: one instance
-// holds the built analyzers (keyed by canonical parameter hash) and
-// another holds whole marshaled responses (keyed by full request hash).
+// holds the built analyzers (keyed by the resolved parameter set) and
+// another holds whole marshaled responses (keyed by the resolved
+// request); requestKey builds both keys.
 //
 // Each shard is an independent LRU guarded by its own mutex, so lookups
 // of different keys rarely contend; a key always maps to the same shard
@@ -27,15 +28,11 @@ import (
 // fill policy (coalesced solve, admission control) stays composable
 // outside it.
 type Cache[V any] struct {
-	shards    []cacheShard[V]
-	ttl       time.Duration
-	perShard  int
-	seed      maphash.Seed
-	now       func() time.Time
-	hitCtr    string
-	missCtr   string
-	evictCtr  string
-	expireCtr string
+	shards   []cacheShard[V]
+	ttl      time.Duration
+	perShard int
+	seed     maphash.Seed
+	now      func() time.Time
 }
 
 // cacheShard is one independently locked LRU region.
@@ -64,9 +61,9 @@ type CacheConfig struct {
 	TTL time.Duration
 }
 
-// NewCache builds a sharded cache. The counter names identify this cache
-// in the obs vocabulary (hits, misses, evictions, expirations).
-func NewCache[V any](cfg CacheConfig, hitCtr, missCtr, evictCtr, expireCtr string) *Cache[V] {
+// NewCache builds a sharded cache. Every cache reports to the same
+// obs.CtrServeCache* counters (hits, misses, evictions, expirations).
+func NewCache[V any](cfg CacheConfig) *Cache[V] {
 	if cfg.Shards < 1 {
 		cfg.Shards = 8
 	}
@@ -78,15 +75,11 @@ func NewCache[V any](cfg CacheConfig, hitCtr, missCtr, evictCtr, expireCtr strin
 	}
 	perShard := (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
 	c := &Cache[V]{
-		shards:    make([]cacheShard[V], cfg.Shards),
-		ttl:       cfg.TTL,
-		perShard:  perShard,
-		seed:      maphash.MakeSeed(),
-		now:       time.Now,
-		hitCtr:    hitCtr,
-		missCtr:   missCtr,
-		evictCtr:  evictCtr,
-		expireCtr: expireCtr,
+		shards:   make([]cacheShard[V], cfg.Shards),
+		ttl:      cfg.TTL,
+		perShard: perShard,
+		seed:     maphash.MakeSeed(),
+		now:      time.Now,
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*list.Element)
@@ -109,7 +102,7 @@ func (c *Cache[V]) Get(ctx context.Context, key string) (V, bool) {
 	el, ok := s.entries[key]
 	if !ok {
 		s.mu.Unlock()
-		obs.Count(ctx, c.missCtr, 1)
+		obs.Count(ctx, obs.CtrServeCacheMisses, 1)
 		var zero V
 		return zero, false
 	}
@@ -118,15 +111,15 @@ func (c *Cache[V]) Get(ctx context.Context, key string) (V, bool) {
 		s.order.Remove(el)
 		delete(s.entries, key)
 		s.mu.Unlock()
-		obs.Count(ctx, c.expireCtr, 1)
-		obs.Count(ctx, c.missCtr, 1)
+		obs.Count(ctx, obs.CtrServeCacheExpired, 1)
+		obs.Count(ctx, obs.CtrServeCacheMisses, 1)
 		var zero V
 		return zero, false
 	}
 	s.order.MoveToFront(el)
 	val := e.val
 	s.mu.Unlock()
-	obs.Count(ctx, c.hitCtr, 1)
+	obs.Count(ctx, obs.CtrServeCacheHits, 1)
 	return val, true
 }
 
@@ -153,7 +146,7 @@ func (c *Cache[V]) Put(ctx context.Context, key string, val V) {
 	}
 	s.mu.Unlock()
 	if evicted > 0 {
-		obs.Count(ctx, c.evictCtr, int64(evicted))
+		obs.Count(ctx, obs.CtrServeCacheEvictions, int64(evicted))
 	}
 }
 

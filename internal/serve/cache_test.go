@@ -15,7 +15,7 @@ import (
 func testCache(cfg CacheConfig) (*Cache[int], *obs.Tracer, context.Context, *time.Time) {
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
-	c := NewCache[int](cfg, obs.CtrServeCacheHits, obs.CtrServeCacheMisses, obs.CtrServeCacheEvictions, obs.CtrServeCacheExpired)
+	c := NewCache[int](cfg)
 	now := time.Unix(1_700_000_000, 0)
 	clock := &now
 	c.now = func() time.Time { return *clock }

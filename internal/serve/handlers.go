@@ -14,26 +14,6 @@ import (
 	"guardedop/internal/uncertainty"
 )
 
-// paramsJSON echoes the fully resolved parameter set back in responses,
-// so a client querying with defaults sees what was actually solved.
-type paramsJSON struct {
-	Theta    float64 `json:"theta"`
-	Lambda   float64 `json:"lambda"`
-	MuNew    float64 `json:"mu_new"`
-	MuOld    float64 `json:"mu_old"`
-	Coverage float64 `json:"coverage"`
-	PExt     float64 `json:"p_ext"`
-	Alpha    float64 `json:"alpha"`
-	Beta     float64 `json:"beta"`
-}
-
-func paramsOut(p mdcd.Params) paramsJSON {
-	return paramsJSON{
-		Theta: p.Theta, Lambda: p.Lambda, MuNew: p.MuNew, MuOld: p.MuOld,
-		Coverage: p.Coverage, PExt: p.PExt, Alpha: p.Alpha, Beta: p.Beta,
-	}
-}
-
 // pointJSON is one evaluated duration.
 type pointJSON struct {
 	Phi   float64 `json:"phi"`
@@ -53,7 +33,7 @@ func pointOut(r core.Result) pointJSON {
 // short by its deadline: Results then holds the completed prefix (every
 // point solved before the deadline) rather than the whole grid.
 type curveResponse struct {
-	Params          paramsJSON  `json:"params"`
+	Params          Params      `json:"params"`
 	PointsRequested int         `json:"points_requested"`
 	PointsReturned  int         `json:"points_returned"`
 	Results         []pointJSON `json:"results"`
@@ -64,17 +44,17 @@ type curveResponse struct {
 
 // optimizeResponse is the /v1/optimize document.
 type optimizeResponse struct {
-	Params     paramsJSON `json:"params"`
-	GridPoints int        `json:"grid_points"`
-	Best       pointJSON  `json:"best"`
-	Degraded   bool       `json:"degraded"`
+	Params     Params    `json:"params"`
+	GridPoints int       `json:"grid_points"`
+	Best       pointJSON `json:"best"`
+	Degraded   bool      `json:"degraded"`
 }
 
 // propagateResponse is the /v1/propagate document. Degraded marks a
 // propagation standing on fewer draws than requested (skipped degenerate
 // draws); the decision quantities are still valid over the survivors.
 type propagateResponse struct {
-	Params           paramsJSON         `json:"params"`
+	Params           Params             `json:"params"`
 	Posterior        map[string]float64 `json:"posterior"`
 	SamplesRequested int                `json:"samples_requested"`
 	SamplesUsed      int                `json:"samples_used"`
@@ -97,12 +77,12 @@ func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
 // keeps repeat queries cheap; concurrent misses for the same parameters
 // may build twice, harmlessly — per-request deduplication is the
 // flight's job, and analyzers are immutable so last-Put-wins is safe.
-func (s *Server) analyzer(ctx context.Context, p mdcd.Params) (*core.Analyzer, error) {
-	key := paramsKey(p)
+func (s *Server) analyzer(ctx context.Context, p Params) (*core.Analyzer, error) {
+	key := requestKey("analyzer", p)
 	if a, ok := s.analyzers.Get(ctx, key); ok {
 		return a, nil
 	}
-	a, err := core.NewAnalyzerWithOptions(p, core.Options{Parametric: s.cfg.parametricMode()})
+	a, err := core.NewAnalyzerWithOptions(mdcd.Params(p), core.Options{Parametric: s.cfg.parametricMode()})
 	if err != nil {
 		return nil, err
 	}
@@ -119,42 +99,43 @@ func jsonResult(v any, degraded, cacheable bool) *apiResult {
 	return &apiResult{status: http.StatusOK, body: body, degraded: degraded, cacheable: cacheable}
 }
 
+// serveRequest is the front half every solve route shares: decode and
+// resolve req, take its timeout, key the resolved request and hand it to
+// serveAPI. compute runs only after req is resolved, so it reads the
+// resolved request. A rejection is the client's malformed request (400),
+// except a specError, which the taxonomy maps.
+func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, route string, req request, compute func(context.Context) *apiResult) {
+	err := decodeRequest(r, req)
+	if err == nil {
+		err = req.resolve()
+	}
+	if err != nil {
+		var se specError
+		if errors.As(err, &se) {
+			s.writeError(w, r, se.error)
+		} else {
+			s.badRequest(w, r, err)
+		}
+		return
+	}
+	budget := s.budget(req.takeTimeout())
+	s.serveAPI(w, r, requestKey(route, req), budget, compute)
+}
+
 // handleCurve serves the Y(φ) curve of one parameter set.
 func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	var req CurveRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	p, err := req.Params.Params()
-	if err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	points := req.Points
-	if points == 0 {
-		points = 20
-	}
-	if points < 1 || points > maxCurvePoints {
-		s.badRequest(w, r, fmt.Errorf("points %d out of range [1, %d]", points, maxCurvePoints))
-		return
-	}
-	key := requestKey("curve", p, []int64{int64(points)})
-	s.serveAPI(w, r, key, s.budget(req.TimeoutMS), func(ctx context.Context) *apiResult {
-		return s.computeCurve(ctx, p, points)
+	s.serveRequest(w, r, "curve", &req, func(ctx context.Context) *apiResult {
+		a, err := s.analyzer(ctx, req.Params)
+		if err != nil {
+			return errorResult(err)
+		}
+		resp, err := s.sweepCurve(ctx, a, req.Params, core.SweepGrid(req.Params.Theta, req.Points))
+		if err != nil {
+			return errorResult(err)
+		}
+		return jsonResult(resp, resp.Degraded, !resp.Degraded)
 	})
-}
-
-func (s *Server) computeCurve(ctx context.Context, p mdcd.Params, points int) *apiResult {
-	a, err := s.analyzer(ctx, p)
-	if err != nil {
-		return errorResult(err)
-	}
-	resp, err := s.sweepCurve(ctx, a, p, core.SweepGrid(p.Theta, points))
-	if err != nil {
-		return errorResult(err)
-	}
-	return jsonResult(resp, resp.Degraded, !resp.Degraded)
 }
 
 // sweepCurve runs a's curve engine over grid and folds the outcome into
@@ -163,7 +144,7 @@ func (s *Server) computeCurve(ctx context.Context, p mdcd.Params, points int) *a
 // sweep's solver passes. A deadline mid-sweep degrades to the completed
 // prefix instead of failing the request; every other failure is
 // returned for the taxonomy to map.
-func (s *Server) sweepCurve(ctx context.Context, a *core.Analyzer, p mdcd.Params, grid []float64) (curveResponse, error) {
+func (s *Server) sweepCurve(ctx context.Context, a *core.Analyzer, p Params, grid []float64) (curveResponse, error) {
 	ctx, scope := obs.WithScope(ctx)
 	pr, err := a.CurvePartialWorkers(ctx, grid, s.cfg.Workers)
 	degraded := err != nil
@@ -171,7 +152,7 @@ func (s *Server) sweepCurve(ctx context.Context, a *core.Analyzer, p mdcd.Params
 		return curveResponse{}, err
 	}
 	resp := curveResponse{
-		Params:          paramsOut(p),
+		Params:          p,
 		PointsRequested: len(grid),
 		Degraded:        degraded,
 		FailedPoints:    pr.Report.Failed(),
@@ -189,121 +170,53 @@ func (s *Server) sweepCurve(ctx context.Context, a *core.Analyzer, p mdcd.Params
 // handleOptimize serves the continuously refined optimal duration φ*.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	p, err := req.Params.Params()
-	if err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	gridPoints := req.GridPoints
-	if gridPoints == 0 {
-		gridPoints = 20
-	}
-	if gridPoints < 2 || gridPoints > maxCurvePoints {
-		s.badRequest(w, r, fmt.Errorf("grid_points %d out of range [2, %d]", gridPoints, maxCurvePoints))
-		return
-	}
-	key := requestKey("optimize", p, []int64{int64(gridPoints)})
-	s.serveAPI(w, r, key, s.budget(req.TimeoutMS), func(ctx context.Context) *apiResult {
-		return s.computeOptimize(ctx, p, gridPoints)
+	s.serveRequest(w, r, "optimize", &req, func(ctx context.Context) *apiResult {
+		a, err := s.analyzer(ctx, req.Params)
+		if err != nil {
+			return errorResult(err)
+		}
+		best, err := a.OptimizePhiContext(ctx, core.OptimizeOptions{GridPoints: req.GridPoints, Workers: s.cfg.Workers})
+		if err != nil {
+			// The refined optimum has no meaningful prefix — a canceled
+			// search fails the request (504) rather than degrading.
+			return errorResult(err)
+		}
+		resp := optimizeResponse{Params: req.Params, GridPoints: req.GridPoints, Best: pointOut(best)}
+		return jsonResult(resp, false, true)
 	})
-}
-
-func (s *Server) computeOptimize(ctx context.Context, p mdcd.Params, gridPoints int) *apiResult {
-	a, err := s.analyzer(ctx, p)
-	if err != nil {
-		return errorResult(err)
-	}
-	best, err := a.OptimizePhiContext(ctx, core.OptimizeOptions{GridPoints: gridPoints, Workers: s.cfg.Workers})
-	if err != nil {
-		// The refined optimum has no meaningful prefix — a canceled search
-		// fails the request (504) rather than degrading.
-		return errorResult(err)
-	}
-	resp := optimizeResponse{Params: paramsOut(p), GridPoints: gridPoints, Best: pointOut(best)}
-	return jsonResult(resp, false, true)
 }
 
 // handlePropagate serves posterior uncertainty propagation of µ_new.
 func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 	var req PropagateRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	p, err := req.Params.Params()
-	if err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	g := gammaSpec{shape: req.Shape, rate: req.Rate}
-	switch {
-	case g.shape == 0 && g.rate == 0:
-		if p.MuNew <= 0 {
-			s.badRequest(w, r, fmt.Errorf("default posterior needs mu_new > 0; supply shape and rate explicitly"))
-			return
+	s.serveRequest(w, r, "propagate", &req, func(ctx context.Context) *apiResult {
+		prop, err := uncertainty.PropagateContext(ctx, mdcd.Params(req.Params),
+			uncertainty.Gamma{Shape: req.Shape, Rate: req.Rate},
+			uncertainty.PropagateOptions{
+				Samples: req.Samples, Seed: req.Seed, GridPoints: req.GridPoints,
+				Workers: s.cfg.Workers, Parametric: s.cfg.parametricMode(),
+			})
+		if err != nil {
+			return errorResult(err)
 		}
-		g = gammaSpec{shape: 2, rate: 2 / p.MuNew}
-	case g.shape <= 0 || g.rate <= 0:
-		s.badRequest(w, r, fmt.Errorf("posterior needs both shape (%g) and rate (%g) positive", g.shape, g.rate))
-		return
-	}
-	samples := req.Samples
-	if samples == 0 {
-		samples = 50
-	}
-	if samples < 2 || samples > maxPropagateSamples {
-		s.badRequest(w, r, fmt.Errorf("samples %d out of range [2, %d]", samples, maxPropagateSamples))
-		return
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	gridPoints := req.GridPoints
-	if gridPoints == 0 {
-		gridPoints = 20
-	}
-	if gridPoints < 2 || gridPoints > maxCurvePoints {
-		s.badRequest(w, r, fmt.Errorf("grid_points %d out of range [2, %d]", gridPoints, maxCurvePoints))
-		return
-	}
-	key := propagateKey(p, g, samples, seed, gridPoints)
-	s.serveAPI(w, r, key, s.budget(req.TimeoutMS), func(ctx context.Context) *apiResult {
-		return s.computePropagate(ctx, p, g, samples, seed, gridPoints)
+		degraded := prop.SamplesUsed < prop.SamplesRequested
+		resp := propagateResponse{
+			Params:           req.Params,
+			Posterior:        map[string]float64{"shape": req.Shape, "rate": req.Rate},
+			SamplesRequested: prop.SamplesRequested,
+			SamplesUsed:      prop.SamplesUsed,
+			RobustPhi:        prop.RobustPhi,
+			RobustEY:         prop.RobustEY,
+			PlugInPhi:        prop.PlugInPhi,
+			PhiStarQuantiles: map[string]float64{
+				"p10": quantileSorted(prop.PhiStars, 0.10),
+				"p50": quantileSorted(prop.PhiStars, 0.50),
+				"p90": quantileSorted(prop.PhiStars, 0.90),
+			},
+			Degraded: degraded,
+		}
+		return jsonResult(resp, degraded, !degraded)
 	})
-}
-
-func (s *Server) computePropagate(ctx context.Context, p mdcd.Params, g gammaSpec, samples int, seed int64, gridPoints int) *apiResult {
-	prop, err := uncertainty.PropagateContext(ctx, p,
-		uncertainty.Gamma{Shape: g.shape, Rate: g.rate},
-		uncertainty.PropagateOptions{
-			Samples: samples, Seed: seed, GridPoints: gridPoints,
-			Workers: s.cfg.Workers, Parametric: s.cfg.parametricMode(),
-		})
-	if err != nil {
-		return errorResult(err)
-	}
-	degraded := prop.SamplesUsed < prop.SamplesRequested
-	resp := propagateResponse{
-		Params:           paramsOut(p),
-		Posterior:        map[string]float64{"shape": g.shape, "rate": g.rate},
-		SamplesRequested: prop.SamplesRequested,
-		SamplesUsed:      prop.SamplesUsed,
-		RobustPhi:        prop.RobustPhi,
-		RobustEY:         prop.RobustEY,
-		PlugInPhi:        prop.PlugInPhi,
-		PhiStarQuantiles: map[string]float64{
-			"p10": quantileSorted(prop.PhiStars, 0.10),
-			"p50": quantileSorted(prop.PhiStars, 0.50),
-			"p90": quantileSorted(prop.PhiStars, 0.90),
-		},
-		Degraded: degraded,
-	}
-	return jsonResult(resp, degraded, !degraded)
 }
 
 // quantileSorted reads the q-quantile off an ascending-sorted sample by

@@ -243,9 +243,23 @@ func TestBadRequests(t *testing.T) {
 		{"grid_points too small", http.MethodPost, "/v1/optimize", `{"grid_points":1}`},
 		{"samples too small", http.MethodPost, "/v1/propagate", `{"samples":1}`},
 		{"half posterior", http.MethodPost, "/v1/propagate", `{"shape":2}`},
+		{"default posterior rate overflows", http.MethodPost, "/v1/propagate", `{"params":{"mu_new":1e-310}}`},
 		{"invalid theta", http.MethodPost, "/v1/curve", `{"params":{"theta":-1}}`},
 		{"bad query number", http.MethodGet, "/v1/curve?points=abc", ""},
 		{"unsupported method", http.MethodPut, "/v1/curve", `{}`},
+		// GET takes exactly POST's fields and JSON's number syntax; none of
+		// these is answered with a default.
+		{"unknown query key", http.MethodGet, "/v1/curve?points=4&lamda=0.03", ""},
+		{"unknown optimize key", http.MethodGet, "/v1/optimize?gridpoints=4", ""},
+		{"unknown propagate key", http.MethodGet, "/v1/propagate?samples=4&sample=8", ""},
+		{"repeated query key", http.MethodGet, "/v1/curve?points=4&points=5", ""},
+		{"empty query value", http.MethodGet, "/v1/curve?points=", ""},
+		{"NaN query value", http.MethodGet, "/v1/curve?theta=NaN", ""},
+		{"hex float query value", http.MethodGet, "/v1/curve?theta=0x1p4", ""},
+		{"fractional query int", http.MethodGet, "/v1/curve?points=4.0", ""},
+		{"params query key", http.MethodGet, "/v1/curve?params=1&theta=5000", ""},
+		{"unparsable query", http.MethodGet, "/v1/curve?theta=%zz", ""},
+		{"trailing data", http.MethodPost, "/v1/curve", `{"points":4} {"points":5}`},
 	}
 	for _, tc := range cases {
 		rec := hit(h, tc.method, tc.target, tc.body)

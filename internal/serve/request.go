@@ -1,14 +1,17 @@
 package serve
 
 import (
-	"encoding/binary"
-	"encoding/hex"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/url"
-	"strconv"
+	"reflect"
+	"slices"
+	"strings"
 
 	"guardedop/internal/mdcd"
 )
@@ -24,71 +27,111 @@ const (
 	maxPropagateSamples = 2048
 )
 
-// ParamsRequest is the JSON shape of a model parameter set. Zero-valued
-// fields take the paper's Table 3 defaults, so `{}` queries the baseline.
-type ParamsRequest struct {
-	Theta    float64 `json:"theta,omitempty"`
-	Lambda   float64 `json:"lambda,omitempty"`
-	MuNew    float64 `json:"mu_new,omitempty"`
-	MuOld    float64 `json:"mu_old,omitempty"`
-	Coverage float64 `json:"coverage,omitempty"`
-	PExt     float64 `json:"p_ext,omitempty"`
-	Alpha    float64 `json:"alpha,omitempty"`
-	Beta     float64 `json:"beta,omitempty"`
+// Params is the wire shape of a model parameter set. In a request a zero
+// field takes the paper's Table 3 default, so `{}` queries the baseline,
+// and -1 stands for exactly zero (µ_old = 0, c = 0, …). Responses echo the
+// resolved set in the same shape. The fields are mdcd.Params's, in its
+// order, so the two types convert into each other.
+type Params struct {
+	Theta    float64 `json:"theta"`
+	Lambda   float64 `json:"lambda"`
+	MuNew    float64 `json:"mu_new"`
+	MuOld    float64 `json:"mu_old"`
+	Coverage float64 `json:"coverage"`
+	PExt     float64 `json:"p_ext"`
+	Alpha    float64 `json:"alpha"`
+	Beta     float64 `json:"beta"`
 }
 
-// Params resolves the request against the paper defaults and validates
-// the result. A field left at zero means "paper default" — the paper's
-// own parameters are all nonzero, so the encoding is unambiguous except
-// for µ_old = 0 and µ_new = 0, which are expressible via the explicit
-// negative sentinel -1 (meaning exactly zero).
-func (pr ParamsRequest) Params() (mdcd.Params, error) {
-	p := mdcd.DefaultParams()
-	set := func(dst *float64, v float64) {
-		switch {
-		case v == 0:
-		case v < 0:
-			*dst = 0
-		default:
-			*dst = v
+// paramNames lists Params's JSON names in field order: the GET query keys
+// that nest under "params", and the names resolve reports.
+var paramNames = func() []string {
+	t := reflect.TypeOf(Params{})
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return names
+}()
+
+// resolve replaces each zero field by its paper default and each -1 by
+// zero, then validates the set. Any other negative value is rejected by
+// name rather than read as zero.
+func (p *Params) resolve() error {
+	v, def := reflect.ValueOf(p).Elem(), reflect.ValueOf(mdcd.DefaultParams())
+	for i, name := range paramNames {
+		f := v.Field(i)
+		switch x := f.Float(); {
+		case x == 0:
+			f.SetFloat(def.Field(i).Float())
+		//lint:ignore floateq -1 is the exact "zero" sentinel of the wire format, not a computed value
+		case x == -1:
+			f.SetFloat(0)
+		case x < 0:
+			return fmt.Errorf("params.%s = %g is negative; only -1 (meaning zero) is accepted", name, x)
 		}
 	}
-	set(&p.Theta, pr.Theta)
-	set(&p.Lambda, pr.Lambda)
-	set(&p.MuNew, pr.MuNew)
-	set(&p.MuOld, pr.MuOld)
-	set(&p.Coverage, pr.Coverage)
-	set(&p.PExt, pr.PExt)
-	set(&p.Alpha, pr.Alpha)
-	set(&p.Beta, pr.Beta)
-	if err := p.Validate(); err != nil {
-		return mdcd.Params{}, err
-	}
-	return p, nil
+	return mdcd.Params(*p).Validate()
+}
+
+// Timeout is the optional timeout_ms field of every solve request. It
+// tightens the server's per-route deadline for this request and can
+// never extend it.
+type Timeout struct {
+	TimeoutMS int `json:"timeout_ms,omitempty"`
+}
+
+// takeTimeout returns timeout_ms and clears it: a deadline changes when a
+// request gives up, never what the full answer would be, so it stays out
+// of the request key and differently impatient clients share one solve.
+func (t *Timeout) takeTimeout() int {
+	ms := t.TimeoutMS
+	t.TimeoutMS = 0
+	return ms
+}
+
+// request is one solve route's input document. resolve fills its
+// defaults in place and checks its bounds; the resolved request, once
+// its timeout is taken, is what requestKey encodes.
+type request interface {
+	resolve() error
+	takeTimeout() int
 }
 
 // CurveRequest asks for the Y(φ) curve of one parameter set.
 type CurveRequest struct {
-	Params ParamsRequest `json:"params"`
+	Params Params `json:"params"`
 	// Points is the number of grid intervals over [0, θ] (default 20,
 	// max maxCurvePoints).
 	Points int `json:"points,omitempty"`
-	// TimeoutMS optionally tightens the server's per-route deadline for
-	// this request; it can never extend it.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
+	Timeout
+}
+
+func (r *CurveRequest) resolve() error {
+	if err := r.Params.resolve(); err != nil {
+		return err
+	}
+	return sized("points", &r.Points, 20, 1, maxCurvePoints)
 }
 
 // OptimizeRequest asks for the continuously refined optimal duration.
 type OptimizeRequest struct {
-	Params ParamsRequest `json:"params"`
+	Params Params `json:"params"`
 	// GridPoints is the coarse bracketing grid (default 20 intervals).
 	GridPoints int `json:"grid_points,omitempty"`
-	TimeoutMS  int `json:"timeout_ms,omitempty"`
+	Timeout
+}
+
+func (r *OptimizeRequest) resolve() error {
+	if err := r.Params.resolve(); err != nil {
+		return err
+	}
+	return sized("grid_points", &r.GridPoints, 20, 2, maxCurvePoints)
 }
 
 // PropagateRequest asks for posterior uncertainty propagation of µ_new.
 type PropagateRequest struct {
-	Params ParamsRequest `json:"params"`
+	Params Params `json:"params"`
 	// Shape and Rate parameterize the Gamma posterior over µ_new.
 	// Defaults reproduce a weakly informed posterior centred on the
 	// paper's µ_new: shape 2, rate 2/µ_new.
@@ -100,196 +143,133 @@ type PropagateRequest struct {
 	// Seed seeds the deterministic draw stream (default 1).
 	Seed       int64 `json:"seed,omitempty"`
 	GridPoints int   `json:"grid_points,omitempty"`
-	TimeoutMS  int   `json:"timeout_ms,omitempty"`
+	Timeout
 }
 
-// decodeRequest parses one API request from either a JSON body (POST) or
-// query parameters (GET), into dst. GET support keeps the daemon
-// curl-able; the query keys are the JSON field names.
-func decodeRequest(r *http.Request, dst any) error {
+func (r *PropagateRequest) resolve() error {
+	if err := r.Params.resolve(); err != nil {
+		return err
+	}
+	switch {
+	case r.Shape == 0 && r.Rate == 0:
+		if r.Params.MuNew <= 0 {
+			return errors.New("default posterior needs mu_new > 0; supply shape and rate explicitly")
+		}
+		r.Shape, r.Rate = 2, 2/r.Params.MuNew
+		if math.IsInf(r.Rate, 0) {
+			return fmt.Errorf("default posterior rate 2/mu_new overflows at mu_new = %g; supply shape and rate explicitly", r.Params.MuNew)
+		}
+	case r.Shape <= 0 || r.Rate <= 0:
+		return fmt.Errorf("posterior needs both shape (%g) and rate (%g) positive", r.Shape, r.Rate)
+	}
+	if err := sized("samples", &r.Samples, 50, 2, maxPropagateSamples); err != nil {
+		return err
+	}
+	if r.Seed == 0 {
+		r.Seed = 1
+	}
+	return sized("grid_points", &r.GridPoints, 20, 2, maxCurvePoints)
+}
+
+// sized resolves one work-size field: zero takes def, and the result must
+// lie in [lo, hi].
+func sized(name string, v *int, def, lo, hi int) error {
+	if *v == 0 {
+		*v = def
+	}
+	if *v < lo || *v > hi {
+		return fmt.Errorf("%s %d out of range [%d, %d]", name, *v, lo, hi)
+	}
+	return nil
+}
+
+// specError carries a scenario spec's own rejection (a typed
+// robust.ErrInvariant) out of resolve, so it is answered through the
+// taxonomy as a 422 rather than as a malformed request.
+type specError struct{ error }
+
+// decodeRequest reads one solve request document into req. POST sends
+// the document as its body; GET sends the same fields as a flat query,
+// which queryDocument re-encodes as that document. Both go through one
+// strict decoder: unknown fields, values of the wrong type and trailing
+// data are errors.
+func decodeRequest(r *http.Request, req request) error {
+	var body io.Reader
 	switch r.Method {
 	case http.MethodPost:
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxRequestBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(dst); err != nil {
-			return fmt.Errorf("decoding JSON body: %w", err)
-		}
-		return nil
+		body = http.MaxBytesReader(nil, r.Body, maxRequestBody)
 	case http.MethodGet:
-		return decodeQuery(r.URL.Query(), dst)
+		doc, err := queryDocument(r.URL.RawQuery)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(doc)
 	default:
 		return fmt.Errorf("method %s not allowed", r.Method)
 	}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request: data after the JSON document")
+	}
+	return nil
 }
 
-// decodeQuery maps flat query parameters onto the request structs. Nested
-// params fields are addressed by their bare JSON names (theta, mu_new, …).
-func decodeQuery(q url.Values, dst any) error {
-	getF := func(key string, into *float64) error {
-		s := q.Get(key)
-		if s == "" {
-			return nil
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("query %s=%q: %w", key, s, err)
-		}
-		*into = v
-		return nil
+// queryDocument re-encodes a flat GET query as the JSON document POST
+// takes: the model-parameter names nest under "params" (matched without
+// case, as the decoder matches field names), every other key stays at the
+// top level. A value that is a JSON number goes in as that
+// number and any other value as a string, which the decoder then rejects
+// for a numeric field. A repeated key is an error.
+func queryDocument(rawQuery string) ([]byte, error) {
+	q, err := url.ParseQuery(rawQuery)
+	if err != nil {
+		return nil, fmt.Errorf("parsing query: %w", err)
 	}
-	getI := func(key string, into *int) error {
-		s := q.Get(key)
-		if s == "" {
-			return nil
+	doc := make(map[string]any, len(q))
+	params := make(map[string]any)
+	for k, vs := range q {
+		if len(vs) != 1 {
+			return nil, fmt.Errorf("query key %q given %d times", k, len(vs))
 		}
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return fmt.Errorf("query %s=%q: %w", key, s, err)
+		var v any = vs[0]
+		if isJSONNumber(vs[0]) {
+			v = json.RawMessage(vs[0])
 		}
-		*into = v
-		return nil
+		if slices.ContainsFunc(paramNames, func(n string) bool { return strings.EqualFold(n, k) }) {
+			params[k] = v
+		} else {
+			doc[k] = v
+		}
 	}
-	getI64 := func(key string, into *int64) error {
-		s := q.Get(key)
-		if s == "" {
-			return nil
+	if len(params) > 0 {
+		if _, ok := doc["params"]; ok {
+			return nil, errors.New(`query key "params" clashes with the flat parameter keys`)
 		}
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return fmt.Errorf("query %s=%q: %w", key, s, err)
-		}
-		*into = v
-		return nil
+		doc["params"] = params
 	}
-	decodeParams := func(p *ParamsRequest) error {
-		for _, f := range []struct {
-			key  string
-			into *float64
-		}{
-			{"theta", &p.Theta}, {"lambda", &p.Lambda},
-			{"mu_new", &p.MuNew}, {"mu_old", &p.MuOld},
-			{"coverage", &p.Coverage}, {"p_ext", &p.PExt},
-			{"alpha", &p.Alpha}, {"beta", &p.Beta},
-		} {
-			if err := getF(f.key, f.into); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	switch d := dst.(type) {
-	case *ScenarioCurveRequest:
-		// A nested scenario spec has no flat query encoding.
-		return fmt.Errorf("scenario requests take a JSON POST body, not query parameters")
-	case *CurveRequest:
-		if err := decodeParams(&d.Params); err != nil {
-			return err
-		}
-		if err := getI("points", &d.Points); err != nil {
-			return err
-		}
-		return getI("timeout_ms", &d.TimeoutMS)
-	case *OptimizeRequest:
-		if err := decodeParams(&d.Params); err != nil {
-			return err
-		}
-		if err := getI("grid_points", &d.GridPoints); err != nil {
-			return err
-		}
-		return getI("timeout_ms", &d.TimeoutMS)
-	case *PropagateRequest:
-		if err := decodeParams(&d.Params); err != nil {
-			return err
-		}
-		for _, f := range []struct {
-			key  string
-			into *float64
-		}{{"shape", &d.Shape}, {"rate", &d.Rate}} {
-			if err := getF(f.key, f.into); err != nil {
-				return err
-			}
-		}
-		if err := getI("samples", &d.Samples); err != nil {
-			return err
-		}
-		if err := getI64("seed", &d.Seed); err != nil {
-			return err
-		}
-		if err := getI("grid_points", &d.GridPoints); err != nil {
-			return err
-		}
-		return getI("timeout_ms", &d.TimeoutMS)
-	default:
-		return fmt.Errorf("serve: no query decoder for %T", dst)
-	}
+	return json.Marshal(doc)
 }
 
-// keyBuf accumulates the canonical byte encoding of a request for
-// coalescing and cache keys: fixed-width big-endian float bits and
-// varints, so two requests share a key exactly when every field is
-// bit-identical after default resolution.
-type keyBuf struct{ b []byte }
-
-func (k *keyBuf) f64(v float64) {
-	var raw [8]byte
-	binary.BigEndian.PutUint64(raw[:], math.Float64bits(v))
-	k.b = append(k.b, raw[:]...)
+// isJSONNumber reports whether s is exactly one JSON number literal.
+func isJSONNumber(s string) bool {
+	return s != "" && (s[0] == '-' || ('0' <= s[0] && s[0] <= '9')) && json.Valid([]byte(s))
 }
 
-func (k *keyBuf) i64(v int64) {
-	k.b = binary.AppendVarint(k.b, v)
-}
-
-func (k *keyBuf) str(s string) {
-	k.b = binary.AppendVarint(k.b, int64(len(s)))
-	k.b = append(k.b, s...)
-}
-
-func (k *keyBuf) String() string { return hex.EncodeToString(k.b) }
-
-// paramsKey is the canonical hash key of one resolved parameter set: the
-// analyzer-cache key, and the prefix of every request key.
-func paramsKey(p mdcd.Params) string {
-	var k keyBuf
-	for _, v := range []float64{p.Theta, p.Lambda, p.MuNew, p.MuOld, p.Coverage, p.PExt, p.Alpha, p.Beta} {
-		k.f64(v)
+// requestKey is the one key of the response cache, the coalescer and the
+// analyzer caches: the route (or cache) name plus the JSON encoding of a
+// resolved value. Go writes each float in its shortest round-trip form,
+// which is injective on the finite floats a decoded request holds, so two
+// requests share a key exactly when they resolve bit-identically. It
+// panics if v does not encode, which resolve rules out by leaving only
+// finite floats.
+func requestKey(route string, v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("serve: encoding the %s key: %v", route, err))
 	}
-	return k.String()
-}
-
-// requestKey returns the canonical coalescing/cache key of one decoded,
-// default-resolved request: route kind plus every field that influences
-// the answer. TimeoutMS is deliberately excluded — a tighter deadline
-// changes when a request gives up, never what the full answer would be,
-// so differently impatient clients still coalesce onto one solve.
-func requestKey(kind string, p mdcd.Params, ints []int64) string {
-	var k keyBuf
-	k.str(kind)
-	for _, v := range []float64{p.Theta, p.Lambda, p.MuNew, p.MuOld, p.Coverage, p.PExt, p.Alpha, p.Beta} {
-		k.f64(v)
-	}
-	for _, v := range ints {
-		k.i64(v)
-	}
-	return k.String()
-}
-
-// propagateKey extends requestKey with the posterior shape/rate floats.
-func propagateKey(p mdcd.Params, g gammaSpec, samples int, seed int64, gridPoints int) string {
-	var k keyBuf
-	k.str("propagate")
-	for _, v := range []float64{p.Theta, p.Lambda, p.MuNew, p.MuOld, p.Coverage, p.PExt, p.Alpha, p.Beta} {
-		k.f64(v)
-	}
-	k.f64(g.shape)
-	k.f64(g.rate)
-	k.i64(int64(samples))
-	k.i64(seed)
-	k.i64(int64(gridPoints))
-	return k.String()
-}
-
-// gammaSpec is a resolved posterior parameterization.
-type gammaSpec struct {
-	shape, rate float64
+	return route + " " + string(b)
 }

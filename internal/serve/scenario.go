@@ -3,8 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
+	"strconv"
 
 	"guardedop/internal/core"
 	"guardedop/internal/template"
@@ -22,9 +23,35 @@ const maxScenarioStates = 1 << 15
 // (docs/TEMPLATES.md); unlike the parameter routes there is no query
 // form — a nested spec only travels as a POST body.
 type ScenarioCurveRequest struct {
-	Spec      json.RawMessage `json:"spec"`
-	Points    int             `json:"points,omitempty"`
-	TimeoutMS int             `json:"timeout_ms,omitempty"`
+	Spec   json.RawMessage `json:"spec"`
+	Points int             `json:"points,omitempty"`
+	Timeout
+
+	spec *template.Spec // the parsed spec, set by resolve
+}
+
+// resolve parses the spec, caps its state spaces at maxScenarioStates and
+// replaces the document by the canonical hash of the capped spec, so two
+// spellings of one scenario share a key and the key stays short. A spec
+// rejection is a specError: the request document was well-formed, its
+// contents were not — 422 territory.
+func (r *ScenarioCurveRequest) resolve() error {
+	if len(r.Spec) == 0 {
+		return errors.New("missing scenario spec (docs/TEMPLATES.md describes the schema)")
+	}
+	spec, err := template.Parse(r.Spec)
+	if err != nil {
+		return specError{err}
+	}
+	if spec.Limits.MaxStates == 0 || spec.Limits.MaxStates > maxScenarioStates {
+		spec.Limits.MaxStates = maxScenarioStates
+	}
+	if err := sized("points", &r.Points, 20, 1, maxCurvePoints); err != nil {
+		return err
+	}
+	r.spec = spec
+	r.Spec = json.RawMessage(strconv.Quote(spec.Hash()))
+	return nil
 }
 
 // scenarioJSON summarizes the built instance in the response, so a
@@ -54,15 +81,15 @@ type scenarioEntry struct {
 	ana  *core.Analyzer
 }
 
-// scenario returns the cached built scenario for spec, building on a
-// miss. Same contract as Server.analyzer: concurrent misses may build
-// twice, harmlessly, and entries are immutable.
-func (s *Server) scenario(ctx context.Context, spec *template.Spec) (*scenarioEntry, error) {
-	key := "scenario:" + spec.Hash()
+// scenario returns the cached built scenario of a resolved request,
+// building on a miss. Same contract as Server.analyzer: concurrent misses
+// may build twice, harmlessly, and entries are immutable.
+func (s *Server) scenario(ctx context.Context, req *ScenarioCurveRequest) (*scenarioEntry, error) {
+	key := requestKey("scenario", req.Spec)
 	if e, ok := s.scenarios.Get(ctx, key); ok {
 		return e, nil
 	}
-	inst, err := template.Build(ctx, spec)
+	inst, err := template.Build(ctx, req.spec)
 	if err != nil {
 		return nil, err
 	}
@@ -83,68 +110,32 @@ func (s *Server) scenario(ctx context.Context, spec *template.Spec) (*scenarioEn
 
 // handleScenarioCurve serves the Y(φ) curve of one templated scenario.
 func (s *Server) handleScenarioCurve(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet {
+		s.badRequest(w, r, errors.New("scenario requests take a JSON POST body, not query parameters"))
+		return
+	}
 	var req ScenarioCurveRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	if len(req.Spec) == 0 {
-		s.badRequest(w, r, fmt.Errorf("missing scenario spec (docs/TEMPLATES.md describes the schema)"))
-		return
-	}
-	spec, err := template.Parse(req.Spec)
-	if err != nil {
-		// Spec-level rejections are typed robust.ErrInvariant: the request
-		// document was well-formed, its contents were not — 422 territory.
-		s.writeError(w, r, err)
-		return
-	}
-	if spec.Limits.MaxStates == 0 || spec.Limits.MaxStates > maxScenarioStates {
-		spec.Limits.MaxStates = maxScenarioStates
-	}
-	points := req.Points
-	if points == 0 {
-		points = 20
-	}
-	if points < 1 || points > maxCurvePoints {
-		s.badRequest(w, r, fmt.Errorf("points %d out of range [1, %d]", points, maxCurvePoints))
-		return
-	}
-	key := scenarioKey(spec.Hash(), points)
-	s.serveAPI(w, r, key, s.budget(req.TimeoutMS), func(ctx context.Context) *apiResult {
-		return s.computeScenarioCurve(ctx, spec, points)
+	s.serveRequest(w, r, "scenario-curve", &req, func(ctx context.Context) *apiResult {
+		e, err := s.scenario(ctx, &req)
+		if err != nil {
+			return errorResult(err)
+		}
+		p := Params(e.inst.Params)
+		curve, err := s.sweepCurve(ctx, e.ana, p, core.SweepGrid(p.Theta, req.Points))
+		if err != nil {
+			return errorResult(err)
+		}
+		resp := scenarioCurveResponse{
+			Scenario: scenarioJSON{
+				Name:        req.spec.Name,
+				Nodes:       len(req.spec.Nodes),
+				Policy:      string(req.spec.Policy()),
+				States:      e.inst.TotalStates,
+				GpMeanField: e.inst.GpMeanField,
+				Rhos:        e.inst.Rhos,
+			},
+			curveResponse: curve,
+		}
+		return jsonResult(resp, curve.Degraded, !curve.Degraded)
 	})
-}
-
-// scenarioKey is the coalescing/cache key of one scenario-curve request:
-// the spec's canonical hash (cap already applied) plus the grid size.
-func scenarioKey(hash string, points int) string {
-	var k keyBuf
-	k.str("scenario-curve")
-	k.str(hash)
-	k.i64(int64(points))
-	return k.String()
-}
-
-func (s *Server) computeScenarioCurve(ctx context.Context, spec *template.Spec, points int) *apiResult {
-	e, err := s.scenario(ctx, spec)
-	if err != nil {
-		return errorResult(err)
-	}
-	curve, err := s.sweepCurve(ctx, e.ana, e.inst.Params, core.SweepGrid(e.inst.Params.Theta, points))
-	if err != nil {
-		return errorResult(err)
-	}
-	resp := scenarioCurveResponse{
-		Scenario: scenarioJSON{
-			Name:        spec.Name,
-			Nodes:       len(spec.Nodes),
-			Policy:      string(spec.Policy()),
-			States:      e.inst.TotalStates,
-			GpMeanField: e.inst.GpMeanField,
-			Rhos:        e.inst.Rhos,
-		},
-		curveResponse: curve,
-	}
-	return jsonResult(resp, curve.Degraded, !curve.Degraded)
 }

@@ -140,15 +140,12 @@ func New(cfg Config) *Server {
 		tracer:     cfg.Tracer,
 		base:       base,
 		cancelBase: cancel,
-		analyzers: NewCache[*core.Analyzer](cfg.AnalyzerCache,
-			obs.CtrServeCacheHits, obs.CtrServeCacheMisses, obs.CtrServeCacheEvictions, obs.CtrServeCacheExpired),
-		scenarios: NewCache[*scenarioEntry](cfg.AnalyzerCache,
-			obs.CtrServeCacheHits, obs.CtrServeCacheMisses, obs.CtrServeCacheEvictions, obs.CtrServeCacheExpired),
-		responses: NewCache[*apiResult](cfg.ResponseCache,
-			obs.CtrServeCacheHits, obs.CtrServeCacheMisses, obs.CtrServeCacheEvictions, obs.CtrServeCacheExpired),
-		flights: NewCoalescer[*apiResult](base),
-		limiter: NewLimiter(cfg.Limiter),
-		logger:  cfg.Logger,
+		analyzers:  NewCache[*core.Analyzer](cfg.AnalyzerCache),
+		scenarios:  NewCache[*scenarioEntry](cfg.AnalyzerCache),
+		responses:  NewCache[*apiResult](cfg.ResponseCache),
+		flights:    NewCoalescer[*apiResult](base),
+		limiter:    NewLimiter(cfg.Limiter),
+		logger:     cfg.Logger,
 	}
 	if cfg.Tracer != nil {
 		s.ring = newTraceRing(cfg.TraceRing)
